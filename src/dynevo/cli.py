@@ -20,6 +20,8 @@ from pathlib import Path
 from . import __version__
 from .envs import SUPPORTED_TASKS, get_spec
 from .evolution import (
+    CHECKPOINT_MAGIC,
+    TEST_SEEDS,
     CheckpointFormatError,
     EvolutionConfig,
     elite_of,
@@ -67,9 +69,12 @@ def _build_config(args) -> EvolutionConfig:
     values: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise SystemExit(f"error: config file not found: {path}")
-        file_cfg = json.loads(path.read_text())
+        try:
+            file_cfg = json.loads(path.read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SystemExit(f"error: cannot read config file {path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise SystemExit(f"error: config file {path} must hold a JSON object")
         for key, val in file_cfg.items():
             if key not in _CONFIG_KEYS:
                 raise SystemExit(f"error: unknown config key {key!r}")
@@ -80,7 +85,13 @@ def _build_config(args) -> EvolutionConfig:
             values[_CONFIG_KEYS[flag]] = val
     workers = args.workers
     if workers is None:
-        workers = values.get("workers") or int(os.environ.get("DYNEVO_WORKERS", "1"))
+        workers = values.get("workers")
+        if not workers:
+            env = os.environ.get("DYNEVO_WORKERS", "1")
+            try:
+                workers = int(env)
+            except ValueError:
+                raise SystemExit(f"error: DYNEVO_WORKERS is not an integer: {env!r}")
     values["workers"] = workers
     if "task" not in values:
         raise SystemExit("error: --task is required (or provide it via --config)")
@@ -122,11 +133,7 @@ def cmd_evolve(args) -> int:
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
-    spec = get_spec(cfg.task)
-    last = {"gen": -1}
-
     def progress(pop, record):
-        last["gen"] = record.generation
         if record.generation % 10 == 0 or record.generation == cfg.generations - 1:
             _log(
                 f"gen {record.generation:5d}  best {record.best_fitness:10.2f}"
@@ -153,8 +160,6 @@ def cmd_test(args) -> int:
         raise SystemExit(f"error: {exc}")
     spec = get_spec(cfg.task)
     mean, scores = test_elite(pop, spec)
-    from .evolution import TEST_SEEDS
-
     for seed, score in zip(TEST_SEEDS, scores):
         print(f"seed {seed}: {score}")
     print(f"mean over {len(scores)} runs: {mean}")
@@ -169,7 +174,7 @@ def cmd_export_dot(args) -> int:
     except OSError as exc:
         raise SystemExit(f"error: {exc}")
     try:
-        if data.startswith(b"DYNEVO-CKPT"):
+        if data.startswith(CHECKPOINT_MAGIC):
             pop, _cfg, _records = load_checkpoint(data)
             if args.slot is not None:
                 agents = [a for a in pop.agents if a.slot == args.slot]

@@ -16,10 +16,7 @@ process pool.
 
 from __future__ import annotations
 
-import copy
-import json
 import math
-import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -75,13 +72,27 @@ class Agent:
     fitness: float = math.nan
     slot: int = 0
 
-    def clone(self) -> "Agent":
-        return Agent(
-            copy.deepcopy(self.genome),
-            copy.deepcopy(self.standardizer),
-            self.fitness,
-            self.slot,
+    def to_obj(self) -> dict:
+        """Plain-dict form: a checkpoint's per-agent record."""
+        return {
+            "slot": self.slot,
+            "fitness": None if math.isnan(self.fitness) else self.fitness,
+            "genome": self.genome.to_obj(),
+            "standardizer": _standardizer_to_obj(self.standardizer),
+        }
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "Agent":
+        return cls(
+            DynamicNet.from_obj(obj["genome"]),
+            _standardizer_from_obj(obj["standardizer"]),
+            math.nan if obj["fitness"] is None else float(obj["fitness"]),
+            int(obj["slot"]),
         )
+
+    def clone(self) -> "Agent":
+        """Independent copy, made through the checkpoint codec."""
+        return Agent.from_obj(self.to_obj())
 
 
 @dataclass
@@ -222,9 +233,10 @@ def run_evolution(
 ):
     """Run the variation/evaluation/selection loop for ``cfg.generations`` generations.
 
-    Returns ``(population, records)``. When ``out_dir`` is given, appends
-    to ``metrics.csv`` and writes ``ckpt_<generation>.bin`` every
-    ``checkpoint_every`` generations plus a final checkpoint. ``resume``
+    Returns ``(population, records)``. When ``out_dir`` is given, rewrites
+    ``metrics.csv`` from the starting records, appends a row per generation,
+    and writes ``ckpt_<generation>.bin`` every ``checkpoint_every``
+    generations plus a final checkpoint, each at most once. ``resume``
     continues a loaded run; the continuation is identical to an
     uninterrupted one because all randomness is generation-keyed.
     """
@@ -243,9 +255,10 @@ def run_evolution(
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         metrics_path = out_dir / "metrics.csv"
-        if not metrics_path.exists():
-            metrics_path.write_text(RunRecord.CSV_HEADER + "\n")
+        rows = [RunRecord.CSV_HEADER] + [r.csv_row() for r in records]
+        metrics_path.write_text("".join(row + "\n" for row in rows))
 
+    saved = None
     pool = None
     if cfg.workers > 1:
         pool = ProcessPoolExecutor(max_workers=cfg.workers)
@@ -267,12 +280,13 @@ def run_evolution(
                 and pop.generation % cfg.checkpoint_every == 0
             ):
                 _write_checkpoint(out_dir, pop, cfg, records)
+                saved = pop.generation
             if on_generation is not None and on_generation(pop, record) is False:
                 break
     finally:
         if pool is not None:
             pool.shutdown()
-    if out_dir is not None:
+    if out_dir is not None and saved != pop.generation:
         _write_checkpoint(out_dir, pop, cfg, records)
     return pop, records
 
@@ -299,7 +313,7 @@ def test_elite(pop: Population, spec: EnvSpec):
     elite = elite_of(pop)
     scores = []
     for seed in TEST_SEEDS:
-        standardizer = copy.deepcopy(elite.standardizer)
+        standardizer = _standardizer_from_obj(_standardizer_to_obj(elite.standardizer))
         seeds = [seed + e for e in range(spec.episodes_per_eval)]
         scores.append(run_episode_set(elite.genome, spec, standardizer, seeds))
     return sum(scores) / len(scores), scores
@@ -326,45 +340,20 @@ def save_checkpoint(pop: Population, cfg: EvolutionConfig, records) -> bytes:
         "config": asdict(cfg),
         "generation": pop.generation,
         "master_seed": pop.master_seed,
-        "agents": [
-            {
-                "slot": a.slot,
-                "fitness": None if math.isnan(a.fitness) else a.fitness,
-                "genome": a.genome.to_obj(),
-                "standardizer": _standardizer_to_obj(a.standardizer),
-            }
-            for a in pop.agents
-        ],
+        "agents": [a.to_obj() for a in pop.agents],
         "records": [asdict(r) for r in records],
     }
-    payload = json.dumps(obj, separators=(",", ":")).encode()
-    return CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + payload
+    return netgraph.encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, obj)
 
 
 def load_checkpoint(data: bytes):
     """Decode checkpoint bytes into ``(population, config, records)``."""
-    if len(data) < len(CHECKPOINT_MAGIC) + 4 or not data.startswith(
-        CHECKPOINT_MAGIC
-    ):
-        raise CheckpointFormatError("not a DYNEVO checkpoint (bad magic header)")
-    off = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", data, off)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported checkpoint format version {version}"
-        )
+    obj = netgraph.decode_framed(
+        data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointFormatError, "checkpoint"
+    )
     try:
-        obj = json.loads(data[off + 4 :].decode())
         cfg = EvolutionConfig(**obj["config"])
-        agents = [
-            Agent(
-                DynamicNet.from_obj(rec["genome"]),
-                _standardizer_from_obj(rec["standardizer"]),
-                math.nan if rec["fitness"] is None else float(rec["fitness"]),
-                int(rec["slot"]),
-            )
-            for rec in obj["agents"]
-        ]
+        agents = [Agent.from_obj(rec) for rec in obj["agents"]]
         pop = Population(agents, int(obj["generation"]), int(obj["master_seed"]))
         records = [RunRecord(**r) for r in obj["records"]]
     except (KeyError, TypeError, ValueError) as exc:

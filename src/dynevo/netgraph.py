@@ -31,7 +31,7 @@ INPUT = "input"
 HIDDEN = "hidden"
 OUTPUT = "output"
 
-# Genome wire format: magic, little-endian uint32 version, JSON payload.
+# Genome wire format (see encode_framed).
 GENOME_MAGIC = b"DYNEVO"
 GENOME_VERSION = 1
 
@@ -44,6 +44,29 @@ MUTATION_KINDS = ("grow_connection", "prune_connection", "grow_node", "prune_nod
 
 class GenomeFormatError(ValueError):
     """Raised when genome bytes fail to decode."""
+
+
+def encode_framed(magic: bytes, version: int, obj) -> bytes:
+    """Wire framing shared by genomes and checkpoints.
+
+    The bytes are ``magic``, ``version`` as a little-endian uint32, then
+    ``obj`` as compact JSON (floats via ``repr``, so round-trips are exact).
+    """
+    payload = json.dumps(obj, separators=(",", ":")).encode()
+    return magic + struct.pack("<I", version) + payload
+
+
+def decode_framed(data: bytes, magic: bytes, version: int, error: type, what: str):
+    """Inverse of :func:`encode_framed`; raises ``error`` on bad framing."""
+    if len(data) < len(magic) + 4 or not data.startswith(magic):
+        raise error(f"not a DYNEVO {what} (bad magic header)")
+    (found,) = struct.unpack_from("<I", data, len(magic))
+    if found != version:
+        raise error(f"unsupported {what} format version {found}")
+    try:
+        return json.loads(data[len(magic) + 4 :].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"corrupt {what} payload: {exc}") from exc
 
 
 class Node:
@@ -70,13 +93,16 @@ class MutationOutcome:
     info: dict = field(default_factory=dict)
 
 
+@dataclass(slots=True)
 class PassState:
-    """Previous-pass activation for every non-input node."""
+    """One episode's evaluation plan and the previous pass's activations.
 
-    __slots__ = ("prev_output",)
+    ``prev`` is indexed by slot: inputs, then non-input nodes in plan order.
+    """
 
-    def __init__(self, prev_output: dict[int, float]):
-        self.prev_output = prev_output
+    plan: list
+    out_slots: list[int]
+    prev: list[float]
 
 
 class DynamicNet:
@@ -92,7 +118,6 @@ class DynamicNet:
         self.layer_count = 2
         self.architecture_frozen = False
         self.next_id = 0
-        self._plan = None
         for _ in range(d_input):
             self._new_node(INPUT, 0)
         for _ in range(d_output):
@@ -105,7 +130,6 @@ class DynamicNet:
         node = Node(self.next_id, kind, layer, bias)
         self.nodes[node.id] = node
         self.next_id += 1
-        self._plan = None
         return node
 
     @property
@@ -170,13 +194,11 @@ class DynamicNet:
         self.weights[(src, dst)] = weight
         self.nodes[dst].in_ids.append(src)
         self.nodes[src].out_ids.append(dst)
-        self._plan = None
 
     def _remove_connection(self, src: int, dst: int) -> None:
         del self.weights[(src, dst)]
         self.nodes[dst].in_ids.remove(src)
         self.nodes[src].out_ids.remove(dst)
-        self._plan = None
 
     def _remove_node(self, nid: int) -> None:
         node = self.nodes[nid]
@@ -185,7 +207,6 @@ class DynamicNet:
         for dst in list(node.out_ids):
             self._remove_connection(nid, dst)
         del self.nodes[nid]
-        self._plan = None
 
     def _insert_layer(self, index: int) -> None:
         """Open an empty layer at ``index``, shifting higher layers up."""
@@ -193,7 +214,6 @@ class DynamicNet:
             if node.layer >= index:
                 node.layer += 1
         self.layer_count += 1
-        self._plan = None
 
     def _drop_empty_layers(self) -> None:
         used = sorted({n.layer for n in self.nodes.values()})
@@ -202,7 +222,6 @@ class DynamicNet:
             for node in self.nodes.values():
                 node.layer = remap[node.layer]
             self.layer_count = len(used)
-            self._plan = None
 
     # ------------------------------------------------------------------
     # mutations
@@ -368,65 +387,53 @@ class DynamicNet:
             for src in node.in_ids:
                 self.weights[(src, nid)] += sigma * deltas[i]
                 i += 1
-        self._plan = None
 
     # ------------------------------------------------------------------
     # forward pass
 
-    def _compile(self):
-        """Flatten the graph into an evaluation plan.
-
-        Nodes are evaluated in (layer, id) order. Each non-input entry
-        carries (node_id, slot, bias, in-entries) where an in-entry reads
-        either the current pass (slot index) or the previous pass (node
-        id into PassState.prev_output).
-        """
-        slot_of = {}
-        for i, nid in enumerate(self.input_ids):
-            slot_of[nid] = i
-        order = sorted(
-            (n.id for n in self.nodes.values() if n.kind != INPUT),
-            key=lambda nid: (self.nodes[nid].layer, nid),
-        )
-        for i, nid in enumerate(order):
-            slot_of[nid] = self.d_input + i
-        plan = []
-        for nid in order:
-            node = self.nodes[nid]
-            entries = []
-            for src in node.in_ids:
-                w = self.weights[(src, nid)]
-                if self.nodes[src].layer < node.layer:
-                    entries.append((slot_of[src], w, False))
-                else:
-                    entries.append((src, w, True))
-            plan.append((nid, slot_of[nid], node.bias, entries))
-        out_slots = [slot_of[nid] for nid in self.output_ids]
-        self._plan = (plan, out_slots, self.d_input + len(order))
-        return self._plan
-
     def reset_state(self) -> PassState:
-        """Zeroed previous-pass activations; call at every episode start."""
-        return PassState({nid: 0.0 for nid in self.non_input_ids()})
+        """Start an episode: build the plan and zero previous-pass activations.
+
+        The plan is built per episode from the current graph, so edits to
+        nodes, weights or biases take effect at the next ``reset_state()``.
+        Nodes run in (layer, id) order; an in-entry ``(src_slot, weight,
+        recurrent)`` reads the previous pass unless ``src`` is in a lower layer.
+        """
+        order = sorted(
+            (n for n in self.nodes.values() if n.kind != INPUT),
+            key=lambda n: (n.layer, n.id),
+        )
+        ids = self.input_ids + [n.id for n in order]
+        slot_of = {nid: i for i, nid in enumerate(ids)}
+        plan = [
+            (slot_of[n.id], n.bias, [
+                (slot_of[s], self.weights[(s, n.id)], self.nodes[s].layer >= n.layer)
+                for s in n.in_ids
+            ])
+            for n in order
+        ]
+        out_slots = [slot_of[nid] for nid in self.output_ids]
+        return PassState(plan, out_slots, [0.0] * len(slot_of))
 
     def forward(self, state: PassState, inputs) -> list[float]:
-        """One network pass; returns output activations in creation order."""
+        """One network pass; returns output activations in creation order.
+
+        Runs the plan in ``state``; graph edits apply from the next ``reset_state()``.
+        """
         if len(inputs) != self.d_input:
             raise ValueError(
                 f"expected {self.d_input} inputs, got {len(inputs)}"
             )
-        plan, out_slots, n_slots = self._plan or self._compile()
-        cur = [0.0] * n_slots
+        prev = state.prev
+        cur = [0.0] * len(prev)
         cur[: self.d_input] = [float(x) for x in inputs]
-        prev = state.prev_output
-        for nid, slot, bias, entries in plan:
+        for slot, bias, entries in state.plan:
             acc = bias
-            for key, w, use_prev in entries:
-                acc += w * (prev[key] if use_prev else cur[key])
+            for src, w, recurrent in entries:
+                acc += w * (prev[src] if recurrent else cur[src])
             cur[slot] = acc if acc > 0.0 else 0.0
-        for nid, slot, _, _ in plan:
-            prev[nid] = cur[slot]
-        return [cur[s] for s in out_slots]
+        state.prev = cur
+        return [cur[s] for s in state.out_slots]
 
     # ------------------------------------------------------------------
     # validation
@@ -499,7 +506,6 @@ class DynamicNet:
             net.next_id = int(obj["next_id"])
             net.nodes = {}
             net.weights = {}
-            net._plan = None
             for rec in obj["nodes"]:
                 node = Node(int(rec["id"]), rec["kind"], int(rec["layer"]),
                             float(rec["bias"]))
@@ -519,24 +525,13 @@ class DynamicNet:
         return net
 
     def serialize(self) -> bytes:
-        payload = json.dumps(self.to_obj(), separators=(",", ":")).encode()
-        return GENOME_MAGIC + struct.pack("<I", GENOME_VERSION) + payload
+        return encode_framed(GENOME_MAGIC, GENOME_VERSION, self.to_obj())
 
     @classmethod
     def deserialize(cls, data: bytes) -> "DynamicNet":
-        if len(data) < len(GENOME_MAGIC) + 4 or not data.startswith(GENOME_MAGIC):
-            raise GenomeFormatError("not a DYNEVO genome (bad magic header)")
-        off = len(GENOME_MAGIC)
-        (version,) = struct.unpack_from("<I", data, off)
-        if version != GENOME_VERSION:
-            raise GenomeFormatError(
-                f"unsupported genome format version {version}"
-            )
-        try:
-            obj = json.loads(data[off + 4 :].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise GenomeFormatError(f"corrupt genome payload: {exc}") from exc
-        return cls.from_obj(obj)
+        return cls.from_obj(
+            decode_framed(data, GENOME_MAGIC, GENOME_VERSION, GenomeFormatError, "genome")
+        )
 
     # ------------------------------------------------------------------
     # DOT export

@@ -73,6 +73,23 @@ def test_config_file_rejects_unknown_key(tmp_path):
         run_cli(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("text", ["{bad", "[1]", None])  # None: no file
+def test_config_file_malformed_is_error_line(tmp_path, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert str(exc.value).startswith("error:")
+
+
+def test_workers_env_not_integer_is_error_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("DYNEVO_WORKERS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--task", "CartPole-v1", "--out", str(tmp_path / "o")])
+    assert str(exc.value).startswith("error:")
+
+
 def test_workers_env_default(monkeypatch):
     import argparse
 
@@ -148,3 +165,14 @@ def test_resume_continues_run(tmp_path):
     ]
     strip = lambda r: (r.generation, r.best_fitness, r.elite_params)
     assert [strip(r) for r in recs_a] == [strip(r) for r in recs_b]
+
+
+def test_resume_into_same_dir_rewrites_metrics(tmp_path):
+    out = tmp_path / "rr"
+    run_cli(evolve_args(out, gens=6, extra=["--checkpoint-every", "3"]))
+    full = (out / "metrics.csv").read_text().splitlines()
+    run_cli(evolve_args(out, gens=6, extra=["--resume", str(out / "ckpt_3.bin")]))
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2", "3", "4", "5"]
+    # identical modulo wall-clock column
+    assert [l.rsplit(",", 1)[0] for l in lines] == [l.rsplit(",", 1)[0] for l in full]

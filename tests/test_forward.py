@@ -58,6 +58,15 @@ def test_backward_connection_uses_previous_pass():
     assert net.forward(state, [2.0]) == [4.0, 2.0]
 
 
+def test_forward_sees_edits_between_episodes():
+    net = make_wire()
+    assert net.forward(net.reset_state(), [2.0]) == [2.0]
+    net.weights[(0, 1)] = 3.0
+    assert net.forward(net.reset_state(), [2.0]) == [6.0]
+    net.nodes[1].bias = -1.0
+    assert net.forward(net.reset_state(), [2.0]) == [5.0]
+
+
 def test_dimension_mismatch_rejected():
     net = new_minimal(3, 1)
     with pytest.raises(ValueError):

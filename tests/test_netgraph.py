@@ -195,8 +195,11 @@ def test_reset_state_zeroed():
     for _ in range(20):
         net.mutate(rng)
     state = net.reset_state()
-    assert set(state.prev_output) == set(net.non_input_ids())
-    assert all(v == 0.0 for v in state.prev_output.values())
+    # one previous-pass slot per node: inputs first, then non-input nodes
+    assert len(state.prev) == net.node_count()
+    assert all(v == 0.0 for v in state.prev)
+    net.forward(state, [1.0, 1.0])
+    assert all(v == 0.0 for v in net.reset_state().prev)
 
 
 def test_grow_connection_saturated_noop():
