@@ -28,6 +28,7 @@ from .evolution import (
     load_checkpoint,
     run_evolution,
     test_elite,
+    write_atomic,
 )
 from .netgraph import DynamicNet, GenomeFormatError
 
@@ -65,7 +66,8 @@ _CONFIG_KEYS = {
 }
 
 
-def _build_config(args) -> EvolutionConfig:
+def _requested_values(args) -> dict:
+    """Config fields set by ``--config`` and the flags; flags win."""
     values: dict = {}
     if args.config:
         path = Path(args.config)
@@ -83,6 +85,11 @@ def _build_config(args) -> EvolutionConfig:
         val = getattr(args, flag)
         if val is not None:
             values[_CONFIG_KEYS[flag]] = val
+    return values
+
+
+def _build_config(args) -> EvolutionConfig:
+    values = _requested_values(args)
     workers = args.workers
     if workers is None:
         workers = values.get("workers")
@@ -118,6 +125,14 @@ def cmd_evolve(args) -> int:
             raise SystemExit(f"error: cannot resume: {exc}")
         # Resume keeps the original run parameters except run length and
         # worker count, which the command line may extend or override.
+        requested = _requested_values(args)
+        for key in ("task", "mode", "population_size", "master_seed"):
+            if key in requested and requested[key] != getattr(ckpt_cfg, key):
+                raise SystemExit(
+                    f"error: {key} {requested[key]!r} differs from the checkpoint's "
+                    f"{getattr(ckpt_cfg, key)!r}; a resumed run keeps its task, "
+                    "mode, population size and seed"
+                )
         ckpt_cfg.generations = cfg.generations
         ckpt_cfg.workers = cfg.workers
         ckpt_cfg.checkpoint_every = cfg.checkpoint_every
@@ -144,8 +159,8 @@ def cmd_evolve(args) -> int:
     pop, records = run_evolution(cfg, out_dir=out_dir, resume=resume,
                                  on_generation=progress)
     elite = elite_of(pop)
-    (out_dir / "elite.bin").write_bytes(elite.genome.serialize())
-    (out_dir / "elite.dot").write_text(elite.genome.to_dot())
+    write_atomic(out_dir / "elite.bin", elite.genome.serialize())
+    write_atomic(out_dir / "elite.dot", elite.genome.to_dot().encode())
     _log(
         f"done: {len(records)} generations recorded, elite fitness "
         f"{elite.fitness:.2f}, {elite.genome.param_count()} parameters"

@@ -8,16 +8,21 @@ without an external dependency. All dynamics are deterministic;
 randomness enters only through the seeded reset.
 
 Also provides discrete/continuous action decoding, Welford running input
-standardization and :func:`run_episode_set`, which turns a network into a
-fitness value.
+standardization and :func:`run_episode_batch`, which turns a batch of
+networks into fitness values. Every task, the decoding and the
+standardizer are written once, on arrays with one column per row; the
+single-environment and single-network APIs are the one-row case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .netgraph import DynamicNet
+import numpy as np
+
+from .netgraph import DynamicNet, PassState
 from .rng import RngStream
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +46,12 @@ class Continuous:
     def arity(self) -> int:
         return len(self.low)
 
+    @cached_property
+    def columns(self) -> tuple:
+        """``(low, high - low)`` as ``(arity, 1)`` arrays for decoding rows."""
+        low = np.array(self.low).reshape(-1, 1)
+        return low, np.array(self.high).reshape(-1, 1) - low
+
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -63,7 +74,9 @@ class RunningStandardizer:
     """Welford online mean/variance, applied per observation dimension.
 
     Returns a zero vector until two samples have been seen; afterwards
-    ``(x - mean) / (std + 1e-8)``.
+    ``(x - mean) / (std + 1e-8)``. The arithmetic lives in the batched
+    :func:`_welford_update` and :func:`_welford_apply`; these methods are
+    their one-row case.
     """
 
     EPS = 1e-8
@@ -74,70 +87,130 @@ class RunningStandardizer:
         self.mean = [0.0] * dim
         self.m2 = [0.0] * dim
 
-    def update(self, x) -> None:
+    def _column(self, x) -> np.ndarray:
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} values, got {len(x)}")
-        self.count += 1
-        n = self.count
-        for i in range(self.dim):
-            delta = x[i] - self.mean[i]
-            self.mean[i] += delta / n
-            self.m2[i] += delta * (x[i] - self.mean[i])
+        return np.array(x, dtype=float).reshape(self.dim, 1)
+
+    def update(self, x) -> None:
+        column = self._column(x)
+        rows = _stack_standardizers([self])
+        _welford_update(*rows, column, True)
+        _unstack_standardizers([self], *rows)
 
     def apply(self, x) -> list:
-        if len(x) != self.dim:
-            raise ValueError(f"expected {self.dim} values, got {len(x)}")
-        if self.count < 2:
-            return [0.0] * self.dim
-        n = self.count
-        return [
-            (x[i] - self.mean[i]) / (math.sqrt(self.m2[i] / n) + self.EPS)
-            for i in range(self.dim)
-        ]
+        column = self._column(x)
+        out = np.empty_like(column)
+        with np.errstate(divide="ignore", invalid="ignore"):  # below two samples
+            _welford_apply(*_stack_standardizers([self]), column, out)
+        return out[:, 0].tolist()
+
+
+def _stack_standardizers(standardizers):
+    """``(count, mean, m2)`` arrays with one column per standardizer."""
+    count = np.array([s.count for s in standardizers], dtype=np.int64)
+    mean = np.array([s.mean for s in standardizers], dtype=float).T.copy()
+    m2 = np.array([s.m2 for s in standardizers], dtype=float).T.copy()
+    return count, mean, m2
+
+
+def _unstack_standardizers(standardizers, count, mean, m2) -> None:
+    for r, s in enumerate(standardizers):
+        s.count = int(count[r])
+        s.mean = mean[:, r].tolist()
+        s.m2 = m2[:, r].tolist()
+
+
+def _welford_update(count, mean, m2, x, live) -> None:
+    """Add column ``r`` of ``x`` to standardizer ``r`` where ``live[r]``."""
+    count += live
+    delta = x - mean
+    new_mean = mean + delta / count
+    np.copyto(m2, m2 + delta * (x - new_mean), where=live)
+    np.copyto(mean, new_mean, where=live)
+
+
+def _welford_apply(count, mean, m2, x, out) -> None:
+    """Standardize each column of ``x`` into ``out``; zeros below two samples."""
+    z = (x - mean) / (np.sqrt(m2 / count) + RunningStandardizer.EPS)
+    np.copyto(out, np.where(count >= 2, z, 0.0))
 
 
 # ----------------------------------------------------------------------
 # environments
 
 
+def _pow2(x):
+    """``x**2`` through ``pow`` as Python computes it; ``x * x`` can differ by an ulp."""
+    return np.float_power(x, 2)
+
+
 class ClassicControlEnv:
-    """Shared step-count / termination bookkeeping."""
+    """One environment: the one-row case of the batched dynamics.
+
+    A task writes its dynamics once, on state rows ``s`` of shape
+    ``(state_dim, rows)``: ``_sample_initial`` draws one start state,
+    ``observe(s, out)`` writes every row's observation into ``out`` and
+    ``advance(s, action)`` steps every row in place, returning
+    ``(reward, terminated)`` per row (or one value for all rows).
+    """
 
     spec: EnvSpec
 
     def __init__(self):
         self.steps = 0
         self.done = True
-        self.state: list = []
+        self.rows = np.empty((0, 1))
+
+    @property
+    def state(self) -> list:
+        return self.rows[:, 0].tolist()
 
     def reset(self, seed: int) -> list:
-        rng = RngStream(seed)
-        self.state = self._sample_initial(rng)
+        self.rows = self.initial_rows([seed])
         self.steps = 0
         self.done = False
         return self._observation()
 
     def set_state(self, state) -> None:
         """Force the physics state directly (test hook)."""
-        self.state = list(state)
+        self.rows = np.array(state, dtype=float).reshape(-1, 1)
         self.steps = 0
         self.done = False
 
     def step(self, action) -> StepResult:
         if self.done:
             raise RuntimeError("step() called on a finished episode")
-        reward, terminated = self._advance(action)
+        if isinstance(self.spec.action_space, Discrete):
+            action = np.array([action])
+        else:
+            action = np.array(action, dtype=float).reshape(-1, 1)
+        reward, terminated = self.advance(self.rows, action)
         self.steps += 1
-        self.done = terminated or self.steps >= self.spec.max_steps
-        return StepResult(self._observation(), reward, self.done)
+        self.done = bool(np.ravel(terminated)[0]) or self.steps >= self.spec.max_steps
+        return StepResult(self._observation(), float(np.ravel(reward)[0]), self.done)
 
-    def _sample_initial(self, rng: RngStream) -> list:
-        raise NotImplementedError
+    @classmethod
+    def initial_rows(cls, seeds) -> np.ndarray:
+        """Start states for one reset seed per row; equal seeds share one draw."""
+        draws = {seed: cls._sample_initial(RngStream(seed)) for seed in set(seeds)}
+        return np.array([draws[seed] for seed in seeds], dtype=float).T.copy()
 
     def _observation(self) -> list:
+        out = np.empty((self.spec.obs_dim, 1))
+        self.observe(self.rows, out)
+        return out[:, 0].tolist()
+
+    @staticmethod
+    def _sample_initial(rng: RngStream) -> list:
         raise NotImplementedError
 
-    def _advance(self, action):
+    @staticmethod
+    def observe(s, out) -> None:
+        out[...] = s
+
+    @classmethod
+    def advance(cls, s, action):
         raise NotImplementedError
 
 
@@ -153,37 +226,34 @@ class CartPoleEnv(ClassicControlEnv):
     LENGTH = 0.5  # half the pole's length
     POLEMASS_LENGTH = MASSPOLE * LENGTH
     FORCE_MAG = 10.0
+    FORCES = np.array([-FORCE_MAG, FORCE_MAG])  # by action: push left, push right
     TAU = 0.02
     THETA_LIMIT = 12 * TWO_PI / 360
     X_LIMIT = 2.4
 
-    def _sample_initial(self, rng):
+    @staticmethod
+    def _sample_initial(rng):
         return [float(x) for x in rng.uniform(-0.05, 0.05, 4)]
 
-    def _observation(self):
-        return list(self.state)
-
-    def _advance(self, action):
-        x, x_dot, theta, theta_dot = self.state
-        force = self.FORCE_MAG if action == 1 else -self.FORCE_MAG
-        costheta = math.cos(theta)
-        sintheta = math.sin(theta)
+    @classmethod
+    def advance(cls, s, action):
+        x, x_dot, theta, theta_dot = s
+        force = cls.FORCES[action]
+        costheta = np.cos(theta)
+        sintheta = np.sin(theta)
         temp = (
-            force + self.POLEMASS_LENGTH * theta_dot**2 * sintheta
-        ) / self.TOTAL_MASS
-        thetaacc = (self.GRAVITY * sintheta - costheta * temp) / (
-            self.LENGTH
-            * (4.0 / 3.0 - self.MASSPOLE * costheta**2 / self.TOTAL_MASS)
+            force + cls.POLEMASS_LENGTH * _pow2(theta_dot) * sintheta
+        ) / cls.TOTAL_MASS
+        thetaacc = (cls.GRAVITY * sintheta - costheta * temp) / (
+            cls.LENGTH
+            * (4.0 / 3.0 - cls.MASSPOLE * _pow2(costheta) / cls.TOTAL_MASS)
         )
-        xacc = temp - self.POLEMASS_LENGTH * thetaacc * costheta / self.TOTAL_MASS
-        x += self.TAU * x_dot
-        x_dot += self.TAU * xacc
-        theta += self.TAU * theta_dot
-        theta_dot += self.TAU * thetaacc
-        self.state = [x, x_dot, theta, theta_dot]
-        terminated = (
-            abs(x) > self.X_LIMIT or abs(theta) > self.THETA_LIMIT
-        )
+        xacc = temp - cls.POLEMASS_LENGTH * thetaacc * costheta / cls.TOTAL_MASS
+        x += cls.TAU * x_dot
+        x_dot += cls.TAU * xacc
+        theta += cls.TAU * theta_dot
+        theta_dot += cls.TAU * thetaacc
+        terminated = (np.abs(x) > cls.X_LIMIT) | (np.abs(theta) > cls.THETA_LIMIT)
         return 1.0, terminated
 
 
@@ -200,27 +270,17 @@ class MountainCarEnv(ClassicControlEnv):
     FORCE = 0.001
     GRAVITY = 0.0025
 
-    def _sample_initial(self, rng):
+    @staticmethod
+    def _sample_initial(rng):
         return [float(rng.uniform(-0.6, -0.4)), 0.0]
 
-    def _observation(self):
-        return list(self.state)
-
-    def _advance(self, action):
-        position, velocity = self.state
-        velocity += (action - 1) * self.FORCE + math.cos(3 * position) * (
-            -self.GRAVITY
+    @classmethod
+    def advance(cls, s, action):
+        position, velocity = s
+        velocity = velocity + (
+            (action - 1) * cls.FORCE + np.cos(3 * position) * (-cls.GRAVITY)
         )
-        velocity = min(max(velocity, -self.MAX_SPEED), self.MAX_SPEED)
-        position += velocity
-        position = min(max(position, self.MIN_POSITION), self.MAX_POSITION)
-        if position == self.MIN_POSITION and velocity < 0:
-            velocity = 0.0
-        self.state = [position, velocity]
-        terminated = (
-            position >= self.GOAL_POSITION and velocity >= self.GOAL_VELOCITY
-        )
-        return -1.0, terminated
+        return -1.0, _car_move(cls, s, velocity)
 
 
 class MountainCarContinuousEnv(ClassicControlEnv):
@@ -237,27 +297,31 @@ class MountainCarContinuousEnv(ClassicControlEnv):
     GOAL_VELOCITY = 0.0
     POWER = 0.0015
 
-    def _sample_initial(self, rng):
+    @staticmethod
+    def _sample_initial(rng):
         return [float(rng.uniform(-0.6, -0.4)), 0.0]
 
-    def _observation(self):
-        return list(self.state)
-
-    def _advance(self, action):
-        position, velocity = self.state
-        force = min(max(action[0], -1.0), 1.0)
-        velocity += force * self.POWER - 0.0025 * math.cos(3 * position)
-        velocity = min(max(velocity, -self.MAX_SPEED), self.MAX_SPEED)
-        position += velocity
-        position = min(max(position, self.MIN_POSITION), self.MAX_POSITION)
-        if position == self.MIN_POSITION and velocity < 0:
-            velocity = 0.0
-        self.state = [position, velocity]
-        terminated = (
-            position >= self.GOAL_POSITION and velocity >= self.GOAL_VELOCITY
-        )
-        reward = (100.0 if terminated else 0.0) - 0.1 * force**2
+    @classmethod
+    def advance(cls, s, action):
+        position, velocity = s
+        force = np.minimum(np.maximum(action[0], -1.0), 1.0)
+        velocity = velocity + (force * cls.POWER - 0.0025 * np.cos(3 * position))
+        terminated = _car_move(cls, s, velocity)
+        reward = np.where(terminated, 100.0, 0.0) - 0.1 * _pow2(force)
         return reward, terminated
+
+
+def _car_move(car, s, velocity):
+    """Shared mountain-car tail: clip, move, stop at the left wall; in place.
+
+    Returns whether each row reached the goal.
+    """
+    velocity = np.minimum(np.maximum(velocity, -car.MAX_SPEED), car.MAX_SPEED)
+    position = s[0] + velocity
+    position = np.minimum(np.maximum(position, car.MIN_POSITION), car.MAX_POSITION)
+    velocity[(position == car.MIN_POSITION) & (velocity < 0)] = 0.0
+    s[0], s[1] = position, velocity
+    return (position >= car.GOAL_POSITION) & (velocity >= car.GOAL_VELOCITY)
 
 
 class PendulumEnv(ClassicControlEnv):
@@ -272,25 +336,29 @@ class PendulumEnv(ClassicControlEnv):
     M = 1.0
     L = 1.0
 
-    def _sample_initial(self, rng):
+    @staticmethod
+    def _sample_initial(rng):
         return [float(x) for x in rng.uniform([-math.pi, -1.0], [math.pi, 1.0])]
 
-    def _observation(self):
-        th, thdot = self.state
-        return [math.cos(th), math.sin(th), thdot]
+    @staticmethod
+    def observe(s, out):
+        np.cos(s[0], out=out[0])
+        np.sin(s[0], out=out[1])
+        out[2] = s[1]
 
-    def _advance(self, action):
-        th, thdot = self.state
-        u = min(max(action[0], -self.MAX_TORQUE), self.MAX_TORQUE)
-        th_norm = ((th + math.pi) % TWO_PI) - math.pi
-        cost = th_norm**2 + 0.1 * thdot**2 + 0.001 * u**2
+    @classmethod
+    def advance(cls, s, action):
+        th, thdot = s
+        u = np.minimum(np.maximum(action[0], -cls.MAX_TORQUE), cls.MAX_TORQUE)
+        th_norm = np.remainder(th + math.pi, TWO_PI) - math.pi
+        cost = _pow2(th_norm) + 0.1 * _pow2(thdot) + 0.001 * _pow2(u)
         newthdot = thdot + (
-            3 * self.G / (2 * self.L) * math.sin(th)
-            + 3.0 / (self.M * self.L**2) * u
-        ) * self.DT
-        newthdot = min(max(newthdot, -self.MAX_SPEED), self.MAX_SPEED)
-        th = th + newthdot * self.DT
-        self.state = [th, newthdot]
+            3 * cls.G / (2 * cls.L) * np.sin(th)
+            + 3.0 / (cls.M * cls.L**2) * u
+        ) * cls.DT
+        newthdot = np.minimum(np.maximum(newthdot, -cls.MAX_SPEED), cls.MAX_SPEED)
+        s[0] = th + newthdot * cls.DT
+        s[1] = newthdot
         return -cost, False
 
 
@@ -310,70 +378,83 @@ class AcrobotEnv(ClassicControlEnv):
     G = 9.8
     MAX_VEL_1 = 4 * math.pi
     MAX_VEL_2 = 9 * math.pi
-    TORQUES = (-1.0, 0.0, 1.0)
+    TORQUES = np.array([-1.0, 0.0, 1.0])
 
-    def _sample_initial(self, rng):
+    @staticmethod
+    def _sample_initial(rng):
         return [float(x) for x in rng.uniform(-0.1, 0.1, 4)]
 
-    def _observation(self):
-        t1, t2, d1, d2 = self.state
-        return [
-            math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2), d1, d2
-        ]
+    @staticmethod
+    def observe(s, out):
+        t1, t2, d1, d2 = s
+        np.cos(t1, out=out[0])
+        np.sin(t1, out=out[1])
+        np.cos(t2, out=out[2])
+        np.sin(t2, out=out[3])
+        out[4] = d1
+        out[5] = d2
 
-    def _dsdt(self, s):
-        theta1, theta2, dtheta1, dtheta2, a = s
-        m1, m2 = self.M1, self.M2
-        l1, lc1, lc2 = self.L1, self.LC1, self.LC2
-        i1, i2, g = self.I1, self.I2, self.G
+    @classmethod
+    def _dsdt(cls, s, a):
+        """Time derivative of ``s = (theta1, theta2, dtheta1, dtheta2)`` under torque ``a``."""
+        theta1, theta2, dtheta1, dtheta2 = s
+        m1, m2 = cls.M1, cls.M2
+        l1, lc1, lc2 = cls.L1, cls.LC1, cls.LC2
+        i1, i2, g = cls.I1, cls.I2, cls.G
+        cos2, sin2 = np.cos(theta2), np.sin(theta2)
         d1 = (
             m1 * lc1**2
-            + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * math.cos(theta2))
+            + m2 * (l1**2 + lc2**2 + 2 * l1 * lc2 * cos2)
             + i1
             + i2
         )
-        d2 = m2 * (lc2**2 + l1 * lc2 * math.cos(theta2)) + i2
-        phi2 = m2 * lc2 * g * math.cos(theta1 + theta2 - math.pi / 2.0)
+        d2 = m2 * (lc2**2 + l1 * lc2 * cos2) + i2
+        phi2 = m2 * lc2 * g * np.cos(theta1 + theta2 - math.pi / 2.0)
         phi1 = (
-            -m2 * l1 * lc2 * dtheta2**2 * math.sin(theta2)
-            - 2 * m2 * l1 * lc2 * dtheta2 * dtheta1 * math.sin(theta2)
-            + (m1 * lc1 + m2 * l1) * g * math.cos(theta1 - math.pi / 2)
+            -m2 * l1 * lc2 * _pow2(dtheta2) * sin2
+            - 2 * m2 * l1 * lc2 * dtheta2 * dtheta1 * sin2
+            + (m1 * lc1 + m2 * l1) * g * np.cos(theta1 - math.pi / 2)
             + phi2
         )
         ddtheta2 = (
-            a + d2 / d1 * phi1 - m2 * l1 * lc2 * dtheta1**2 * math.sin(theta2)
+            a + d2 / d1 * phi1 - m2 * l1 * lc2 * _pow2(dtheta1) * sin2
             - phi2
-        ) / (m2 * lc2**2 + i2 - d2**2 / d1)
+        ) / (m2 * lc2**2 + i2 - _pow2(d2) / d1)
         ddtheta1 = -(d2 * ddtheta2 + phi1) / d1
-        return (dtheta1, dtheta2, ddtheta1, ddtheta2, 0.0)
+        return (dtheta1, dtheta2, ddtheta1, ddtheta2)
 
-    def _advance(self, action):
-        s = self.state + [self.TORQUES[action]]
-        # One RK4 step over dt
-        dt = self.DT
-        k1 = self._dsdt(s)
-        k2 = self._dsdt([s[i] + dt / 2 * k1[i] for i in range(5)])
-        k3 = self._dsdt([s[i] + dt / 2 * k2[i] for i in range(5)])
-        k4 = self._dsdt([s[i] + dt * k3[i] for i in range(5)])
+    @classmethod
+    def advance(cls, s, action):
+        # One RK4 step over dt; the torque is held over the step.
+        a = cls.TORQUES[action]
+        dt = cls.DT
+        k1 = cls._dsdt(s, a)
+        k2 = cls._dsdt([s[i] + dt / 2 * k1[i] for i in range(4)], a)
+        k3 = cls._dsdt([s[i] + dt / 2 * k2[i] for i in range(4)], a)
+        k4 = cls._dsdt([s[i] + dt * k3[i] for i in range(4)], a)
         ns = [
             s[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
             for i in range(4)
         ]
-        ns[0] = _wrap(ns[0], -math.pi, math.pi)
-        ns[1] = _wrap(ns[1], -math.pi, math.pi)
-        ns[2] = min(max(ns[2], -self.MAX_VEL_1), self.MAX_VEL_1)
-        ns[3] = min(max(ns[3], -self.MAX_VEL_2), self.MAX_VEL_2)
-        self.state = ns
-        terminated = -math.cos(ns[0]) - math.cos(ns[1] + ns[0]) > 1.0
-        return (0.0 if terminated else -1.0), terminated
+        s[0] = _wrap(ns[0], -math.pi, math.pi)
+        s[1] = _wrap(ns[1], -math.pi, math.pi)
+        s[2] = np.minimum(np.maximum(ns[2], -cls.MAX_VEL_1), cls.MAX_VEL_1)
+        s[3] = np.minimum(np.maximum(ns[3], -cls.MAX_VEL_2), cls.MAX_VEL_2)
+        terminated = -np.cos(s[0]) - np.cos(s[1] + s[0]) > 1.0
+        return np.where(terminated, 0.0, -1.0), terminated
 
 
-def _wrap(x: float, low: float, high: float) -> float:
+def _wrap(x, low: float, high: float):
+    """Shift each value by ``high - low`` until it lies in [low, high].
+
+    Every value takes the same number of single shifts as the loop
+    ``while x > high: x -= diff`` (then ``while x < low: x += diff``).
+    """
     diff = high - low
-    while x > high:
-        x -= diff
-    while x < low:
-        x += diff
+    while (over := x > high).any():
+        x = np.where(over, x - diff, x)
+    while (under := x < low).any():
+        x = np.where(under, x + diff, x)
     return x
 
 
@@ -422,17 +503,22 @@ def decode_action(raw_outputs, space):
         raise ValueError(
             f"expected {space.arity} outputs, got {len(raw_outputs)}"
         )
+    action = _decode_rows(np.array(raw_outputs, dtype=float).reshape(-1, 1), space)
     if isinstance(space, Discrete):
-        best = 0
-        for i in range(1, space.n):
-            if raw_outputs[i] > raw_outputs[best]:
-                best = i
-        return best
-    return [
-        min(max(raw_outputs[i], 0.0), 1.0) * (space.high[i] - space.low[i])
-        + space.low[i]
-        for i in range(space.arity)
-    ]
+        return int(action[0])
+    return action[:, 0].tolist()
+
+
+def _decode_rows(out, space):
+    """Actions for output columns ``out`` of shape ``(arity, rows)``.
+
+    ``argmax`` picks the first of equal maxima; outputs are ReLU values,
+    never NaN, so it agrees with a strict ``>`` scan.
+    """
+    if isinstance(space, Discrete):
+        return out.argmax(axis=0)
+    low, span = space.columns
+    return np.minimum(np.maximum(out, 0.0), 1.0) * span + low
 
 
 def run_episode_set(
@@ -443,37 +529,66 @@ def run_episode_set(
 ) -> float:
     """Mean accumulated reward over one episode per seed.
 
-    Per episode: reset the environment and the network's pass state, then
-    loop observation -> (standardize) -> forward -> decode -> step until
-    done. The standardizer, when present, is updated with each raw
-    observation before being applied (and persists across episodes).
+    The one-row case of :func:`run_episode_batch`.
     """
-    if len(episode_seeds) != spec.episodes_per_eval:
-        raise ValueError(
-            f"{spec.name} needs {spec.episodes_per_eval} episode seeds, "
-            f"got {len(episode_seeds)}"
-        )
-    if net.d_input != spec.obs_dim or net.d_output != spec.action_space.arity:
-        raise ValueError(
-            f"net dimensions ({net.d_input}, {net.d_output}) do not match "
-            f"{spec.name} ({spec.obs_dim}, {spec.action_space.arity})"
-        )
-    standardize = spec.standardize_inputs and standardizer is not None
-    env = ENV_CLASSES[spec.name]()
-    total = 0.0
-    for seed in episode_seeds:
-        obs = env.reset(seed)
-        state = net.reset_state()
-        episode_reward = 0.0
-        while True:
-            if standardize:
-                standardizer.update(obs)
-                obs = standardizer.apply(obs)
-            action = decode_action(net.forward(state, obs), spec.action_space)
-            result = env.step(action)
-            episode_reward += result.reward
-            obs = result.observation
-            if result.done:
-                break
-        total += episode_reward
-    return total / len(episode_seeds)
+    standardizers = None if standardizer is None else [standardizer]
+    return run_episode_batch([net], spec, standardizers, [episode_seeds])[0]
+
+
+def run_episode_batch(nets, spec: EnvSpec, standardizers, episode_seeds) -> list[float]:
+    """Mean accumulated reward of each row over one episode per seed.
+
+    Row ``r`` runs ``nets[r]`` with ``standardizers[r]`` on the seeds
+    ``episode_seeds[r]``. Per episode, all rows reset together (rows with
+    the same seed share one draw) and step in lockstep until every row is
+    done: observation -> (standardize) -> forward -> decode -> step. A row
+    that is done keeps stepping, but its rewards and standardizer updates
+    are masked out, so each row's result equals a run of that row alone.
+    The standardizers, when given, are updated with each raw observation
+    before it is applied, persist across episodes, and are written back.
+    """
+    for net, seeds in zip(nets, episode_seeds):
+        if len(seeds) != spec.episodes_per_eval:
+            raise ValueError(
+                f"{spec.name} needs {spec.episodes_per_eval} episode seeds, "
+                f"got {len(seeds)}"
+            )
+        if net.d_input != spec.obs_dim or net.d_output != spec.action_space.arity:
+            raise ValueError(
+                f"net dimensions ({net.d_input}, {net.d_output}) do not match "
+                f"{spec.name} ({spec.obs_dim}, {spec.action_space.arity})"
+            )
+    env = ENV_CLASSES[spec.name]
+    rows = len(nets)
+    state = PassState(nets)
+    inputs = state.inputs
+    standardize = spec.standardize_inputs and standardizers is not None
+    if standardize:
+        moments = _stack_standardizers(standardizers)
+        obs = np.empty_like(inputs)
+    total = np.zeros(rows)
+    # Overflow gives inf silently, as in Python float arithmetic; rows that
+    # are done keep stepping and may overflow too.
+    with np.errstate(all="ignore"):
+        for seeds in zip(*episode_seeds):
+            s = env.initial_rows(seeds)
+            state.reset()
+            episode = np.zeros(rows)
+            done = np.zeros(rows, dtype=bool)
+            for _ in range(spec.max_steps):
+                if standardize:
+                    env.observe(s, obs)
+                    _welford_update(*moments, obs, ~done)
+                    _welford_apply(*moments, obs, inputs)
+                else:
+                    env.observe(s, inputs)
+                action = _decode_rows(state.step(), spec.action_space)
+                reward, terminated = env.advance(s, action)
+                episode += np.where(done, 0.0, reward)
+                done |= terminated
+                if done.all():
+                    break
+            total += episode
+    if standardize:
+        _unstack_standardizers(standardizers, *moments)
+    return (total / spec.episodes_per_eval).tolist()

@@ -10,19 +10,22 @@ Each generation runs three stages over a population of agents:
 
 All randomness is derived per (master_seed, generation, slot, purpose),
 so results are a pure function of the config and independent of worker
-count and scheduling. Evaluation is data-parallel across agents via a
-process pool.
+count and scheduling. Evaluation runs the population in contiguous
+shards, one per pool worker, each shard as one lockstep batch.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from . import netgraph
-from .envs import EnvSpec, RunningStandardizer, get_spec, run_episode_set
+from .envs import EnvSpec, RunningStandardizer, get_spec, run_episode_batch
+from .envs import run_episode_set  # noqa: F401  (perfbench/tracer.py patches this name)
 from .netgraph import DynamicNet
 from .rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
@@ -50,6 +53,19 @@ class EvolutionConfig:
     checkpoint_every: int = 0
 
     def validate(self) -> None:
+        for name in ("population_size", "generations", "master_seed", "workers",
+                     "checkpoint_every"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("perturb_sigma", "init_sigma"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name in ("task", "mode"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         get_spec(self.task)
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population_size must be a positive even integer")
@@ -164,30 +180,37 @@ def episode_seeds_for(generation: int, spec: EnvSpec) -> list[int]:
 
 
 def _evaluate_one(payload):
-    genome, standardizer, task, seeds = payload
+    """Score one shard: ``(genomes, standardizers, task, seeds)`` -> ``(fitnesses, standardizers)``."""
+    genomes, standardizers, task, seeds = payload
     spec = get_spec(task)
-    fitness = run_episode_set(genome, spec, standardizer, seeds)
-    return fitness, standardizer
+    fitnesses = run_episode_batch(genomes, spec, standardizers, [seeds] * len(genomes))
+    return fitnesses, standardizers
 
 
 def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) -> None:
-    """Score every agent on this generation's shared episode seeds."""
+    """Score every agent on this generation's shared episode seeds.
+
+    The population is cut into ``cfg.workers`` contiguous shards (one
+    without a pool); each shard runs as one lockstep batch, in one pool
+    round trip.
+    """
     seeds = episode_seeds_for(pop.generation, spec)
+    n, k = len(pop.agents), cfg.workers if pool is not None else 1
+    shards = [pop.agents[i * n // k : (i + 1) * n // k] for i in range(k)]
+    shards = [shard for shard in shards if shard]
     payloads = [
-        (a.genome, a.standardizer, cfg.task, seeds) for a in pop.agents
+        ([a.genome for a in shard], [a.standardizer for a in shard], cfg.task, seeds)
+        for shard in shards
     ]
-    if pool is not None:
-        chunk = max(1, len(payloads) // (cfg.workers * 4))
-        results = list(pool.map(_evaluate_one, payloads, chunksize=chunk))
-    else:
-        results = [_evaluate_one(p) for p in payloads]
-    for agent, (fitness, standardizer) in zip(pop.agents, results):
-        if not math.isfinite(fitness):
-            raise RuntimeError(
-                f"non-finite fitness {fitness} for agent slot {agent.slot}"
-            )
-        agent.fitness = fitness
-        agent.standardizer = standardizer
+    results = (pool.map if pool is not None else map)(_evaluate_one, payloads)
+    for shard, (fitnesses, standardizers) in zip(shards, results):
+        for agent, fitness, standardizer in zip(shard, fitnesses, standardizers):
+            if not math.isfinite(fitness):
+                raise RuntimeError(
+                    f"non-finite fitness {fitness} for agent slot {agent.slot}"
+                )
+            agent.fitness = fitness
+            agent.standardizer = standardizer
 
 
 def select(pop: Population) -> None:
@@ -294,9 +317,24 @@ def run_evolution(
 def _write_checkpoint(out_dir, pop, cfg, records) -> None:
     path = out_dir / f"ckpt_{pop.generation}.bin"
     try:
-        path.write_bytes(save_checkpoint(pop, cfg, records))
+        write_atomic(path, save_checkpoint(pop, cfg, records))
     except OSError as exc:
         raise RuntimeError(f"checkpoint write failed at {path}: {exc}") from exc
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` whole or not at all.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; a failed write removes the temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -304,18 +342,21 @@ def _write_checkpoint(out_dir, pop, cfg, records) -> None:
 
 
 def test_elite(pop: Population, spec: EnvSpec):
-    """Score the elite on the ten held-out test seeds.
+    """Score the elite on the ten held-out test seeds, as one 10-row batch.
 
     Run ``r`` uses episode seeds ``TEST_SEEDS[r] + e`` for episode ``e``.
     The elite's standardizer is copied per run, never shared or written
     back. Returns ``(mean_score, per_seed_scores)``.
     """
     elite = elite_of(pop)
-    scores = []
-    for seed in TEST_SEEDS:
-        standardizer = _standardizer_from_obj(_standardizer_to_obj(elite.standardizer))
-        seeds = [seed + e for e in range(spec.episodes_per_eval)]
-        scores.append(run_episode_set(elite.genome, spec, standardizer, seeds))
+    standardizers = [
+        _standardizer_from_obj(_standardizer_to_obj(elite.standardizer))
+        for _ in TEST_SEEDS
+    ]
+    seeds = [[seed + e for e in range(spec.episodes_per_eval)] for seed in TEST_SEEDS]
+    scores = run_episode_batch(
+        [elite.genome] * len(TEST_SEEDS), spec, standardizers, seeds
+    )
     return sum(scores) / len(scores), scores
 
 
@@ -353,6 +394,7 @@ def load_checkpoint(data: bytes):
     )
     try:
         cfg = EvolutionConfig(**obj["config"])
+        cfg.validate()
         agents = [Agent.from_obj(rec) for rec in obj["agents"]]
         pop = Population(agents, int(obj["generation"]), int(obj["master_seed"]))
         records = [RunRecord(**r) for r in obj["records"]]

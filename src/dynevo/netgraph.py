@@ -25,6 +25,8 @@ import json
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .rng import RngStream
 
 INPUT = "input"
@@ -93,16 +95,117 @@ class MutationOutcome:
     info: dict = field(default_factory=dict)
 
 
-@dataclass(slots=True)
 class PassState:
-    """One episode's evaluation plan and the previous pass's activations.
+    """Forward-pass plan and activations for a batch of genomes, one per row.
 
-    ``prev`` is indexed by slot: inputs, then non-input nodes in plan order.
+    Row ``r`` evaluates ``nets[r]``. Every genome is compiled once into one
+    block-diagonal plan over a buffer laid out as ``[cur | prev | 1.0]``:
+    the current pass, the previous pass, and a constant one that bias edges
+    read. Input ``d`` of row ``r`` sits at slot ``d * rows + r``, so
+    ``inputs`` is a ``(d_input, rows)`` view that one assignment fills.
+    Non-input nodes follow, grouped by layer index across all rows.
+
+    Each layer runs as one ``np.bincount`` over its edges. A node's bias
+    comes first, as an edge from the constant-one slot (``0 + b*1 == b``),
+    followed by its ``in_ids`` in order; ``bincount`` accumulates in input
+    order, so every sum is formed exactly as ``bias + w_1*x_1 + ...``. An
+    edge reads ``prev`` when its source sits in the same or a higher layer
+    of its genome, and ``cur`` otherwise (a lower layer, already computed).
     """
 
-    plan: list
-    out_slots: list[int]
-    prev: list[float]
+    def __init__(self, nets):
+        d_in = nets[0].d_input
+        rows = len(nets)
+        compiled = [_compile(net) for net in nets]
+        sizes = [len(c[0]) for c in compiled]
+        first = d_in * rows  # first non-input slot
+        n = first + sum(sizes)
+        self.buf = np.zeros(2 * n + 1)
+        self.buf[2 * n] = 1.0
+        self.cur, self.prev = self.buf[:n], self.buf[n : 2 * n]
+        self.inputs = self.buf[:first].reshape(d_in, rows)
+
+        # Global slot of every non-input node: sorted by layer, then row;
+        # within a row, compile order (layer, id) is kept by the stable sort.
+        node_layer = np.concatenate([c[0] for c in compiled])
+        node_row = np.repeat(np.arange(rows), sizes)
+        slot = np.empty(len(node_layer), dtype=np.intp)
+        slot[np.lexsort((node_row, node_layer))] = first + np.arange(len(node_layer))
+
+        srcs, weights, dsts, layers, outs = [], [], [], [], []
+        start = 0
+        for r, (layer, src, w, dst, out) in enumerate(compiled):
+            own = slot[start : start + len(layer)]
+            start += len(layer)
+            # Local slots: inputs, non-input nodes, then the constant one.
+            to_global = np.concatenate((np.arange(d_in) * rows + r, own, [2 * n]))
+            slot_layer = np.concatenate((np.zeros(d_in, np.intp), layer, [-1]))
+            recurrent = slot_layer[src] >= layer[dst]
+            srcs.append(to_global[src] + n * recurrent)
+            weights.append(w)
+            dsts.append(own[dst])
+            layers.append(layer[dst])
+            outs.append(own[out])
+        edge_layer = np.concatenate(layers)
+        order = np.argsort(edge_layer, kind="stable")
+        src, w, dst = (np.concatenate(a)[order] for a in (srcs, weights, dsts))
+        bounds = np.arange(1, node_layer.max() + 2)
+        cuts = np.searchsorted(edge_layer[order], bounds)
+        nodes = first + np.searchsorted(np.sort(node_layer), bounds)
+        self.layers = [
+            (src[a:b], w[a:b], dst[a:b] - lo, self.buf[lo:hi])
+            for a, b, lo, hi in zip(cuts, cuts[1:], nodes, nodes[1:])
+        ]
+        self.out_slots = np.stack(outs, axis=1)  # (d_output, rows)
+
+    def reset(self) -> None:
+        """Zero both passes: the next step starts a fresh episode."""
+        self.buf[:-1] = 0.0
+
+    def step(self) -> np.ndarray:
+        """One pass over every row, reading ``inputs``; returns ``(d_output, rows)``.
+
+        ReLU is ``fmax(acc, 0.0)``, which equals ``acc if acc > 0.0 else 0.0``
+        bit for bit: a NaN sum becomes 0.0, and ``bincount`` sums start from
+        +0.0, so no sum is -0.0.
+        """
+        buf = self.buf
+        for src, w, dst, out in self.layers:
+            np.fmax(np.bincount(dst, weights=w * buf[src], minlength=len(out)), 0.0, out=out)
+        self.prev[...] = self.cur
+        return buf[self.out_slots]
+
+
+def _compile(net: DynamicNet):
+    """One genome as flat arrays, in the evaluation order of :class:`PassState`.
+
+    Returns ``(layer, src, w, dst, out)``: the layer of each non-input node
+    in (layer, id) order; per edge, the local source slot (inputs, then
+    non-input nodes, then the constant one), weight and destination node;
+    and the node index of each output in creation order.
+    """
+    order = sorted(
+        (n for n in net.nodes.values() if n.kind != INPUT), key=lambda n: (n.layer, n.id)
+    )
+    d_in = net.d_input
+    slot_of = {nid: nid for nid in net.input_ids}
+    slot_of.update((node.id, d_in + k) for k, node in enumerate(order))
+    one = d_in + len(order)
+    weights = net.weights
+    src, w, fan_in = [], [], []
+    for node in order:
+        src.append(one)
+        src += [slot_of[s] for s in node.in_ids]
+        w.append(node.bias)
+        w += [weights[(s, node.id)] for s in node.in_ids]
+        fan_in.append(len(node.in_ids) + 1)
+    return (
+        np.array([node.layer for node in order], dtype=np.intp),
+        np.array(src, dtype=np.intp),
+        np.array(w, dtype=float),
+        np.repeat(np.arange(len(order)), fan_in),
+        np.array([slot_of[nid] - d_in for nid in net.output_ids], dtype=np.intp),
+    )
 
 
 class DynamicNet:
@@ -392,48 +495,21 @@ class DynamicNet:
     # forward pass
 
     def reset_state(self) -> PassState:
-        """Start an episode: build the plan and zero previous-pass activations.
+        """Start an episode: the one-row plan of this genome, zeroed.
 
-        The plan is built per episode from the current graph, so edits to
-        nodes, weights or biases take effect at the next ``reset_state()``.
-        Nodes run in (layer, id) order; an in-entry ``(src_slot, weight,
-        recurrent)`` reads the previous pass unless ``src`` is in a lower layer.
+        The plan is compiled from the current graph, so edits to nodes,
+        weights or biases take effect at the next ``reset_state()``.
         """
-        order = sorted(
-            (n for n in self.nodes.values() if n.kind != INPUT),
-            key=lambda n: (n.layer, n.id),
-        )
-        ids = self.input_ids + [n.id for n in order]
-        slot_of = {nid: i for i, nid in enumerate(ids)}
-        plan = [
-            (slot_of[n.id], n.bias, [
-                (slot_of[s], self.weights[(s, n.id)], self.nodes[s].layer >= n.layer)
-                for s in n.in_ids
-            ])
-            for n in order
-        ]
-        out_slots = [slot_of[nid] for nid in self.output_ids]
-        return PassState(plan, out_slots, [0.0] * len(slot_of))
+        return PassState([self])
 
     def forward(self, state: PassState, inputs) -> list[float]:
-        """One network pass; returns output activations in creation order.
-
-        Runs the plan in ``state``; graph edits apply from the next ``reset_state()``.
-        """
+        """One network pass; returns output activations in creation order."""
         if len(inputs) != self.d_input:
             raise ValueError(
                 f"expected {self.d_input} inputs, got {len(inputs)}"
             )
-        prev = state.prev
-        cur = [0.0] * len(prev)
-        cur[: self.d_input] = [float(x) for x in inputs]
-        for slot, bias, entries in state.plan:
-            acc = bias
-            for src, w, recurrent in entries:
-                acc += w * (prev[src] if recurrent else cur[src])
-            cur[slot] = acc if acc > 0.0 else 0.0
-        state.prev = cur
-        return [cur[s] for s in state.out_slots]
+        state.inputs[:, 0] = inputs
+        return state.step()[:, 0].tolist()
 
     # ------------------------------------------------------------------
     # validation

@@ -83,6 +83,14 @@ def test_config_file_malformed_is_error_line(tmp_path, text):
     assert str(exc.value).startswith("error:")
 
 
+def test_config_value_wrong_type_is_error_line(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": "CartPole-v1", "pop": "8"}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert str(exc.value).startswith("error: population_size must be an integer")
+
+
 def test_workers_env_not_integer_is_error_line(tmp_path, monkeypatch):
     monkeypatch.setenv("DYNEVO_WORKERS", "abc")
     with pytest.raises(SystemExit) as exc:
@@ -176,3 +184,82 @@ def test_resume_into_same_dir_rewrites_metrics(tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2", "3", "4", "5"]
     # identical modulo wall-clock column
     assert [l.rsplit(",", 1)[0] for l in lines] == [l.rsplit(",", 1)[0] for l in full]
+
+
+@pytest.fixture(scope="module")
+def resumable(tmp_path_factory):
+    """A 4-agent CartPole run, seed 3, with a checkpoint at generation 1."""
+    out = tmp_path_factory.mktemp("resumable") / "a"
+    run_cli(evolve_args(out, pop=4, gens=1, seed=3))
+    return out / "ckpt_1.bin"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--task", "Pendulum-v1"],
+    ["--mode", "static"],
+    ["--pop", "8"],
+    ["--seed", "99"],
+])
+def test_resume_rejects_differing_run_flags(tmp_path, resumable, flags):
+    args = ["evolve", "--task", "CartPole-v1", "--gens", "2", "--workers", "1",
+            "--resume", str(resumable), "--out", str(tmp_path / "r")]
+    if flags[0] == "--task":
+        args[2] = flags[1]
+    else:
+        args += flags
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert str(exc.value).startswith("error:")
+    assert not (tmp_path / "r" / "ckpt_2.bin").exists()
+
+
+def test_resume_rejects_differing_config_file_value(tmp_path, resumable):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": "CartPole-v1", "seed": 4}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--config", str(cfg_path), "--gens", "2",
+                 "--resume", str(resumable), "--out", str(tmp_path / "r")])
+    assert str(exc.value).startswith("error: master_seed")
+
+
+def test_resume_from_checkpoint_with_wrong_config_type_is_error_line(tmp_path, resumable):
+    bad = tmp_path / "bad.bin"
+    data = resumable.read_bytes()
+    assert data.count(b'"population_size":4') == 1
+    bad.write_bytes(data.replace(b'"population_size":4', b'"population_size":"4"'))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--task", "CartPole-v1", "--gens", "2",
+                 "--resume", str(bad), "--out", str(tmp_path / "r")])
+    assert str(exc.value).startswith("error: cannot resume: corrupt checkpoint")
+
+
+def test_resume_accepts_equal_run_flags(tmp_path, resumable):
+    out = tmp_path / "r"
+    assert run_cli(evolve_args(out, pop=4, gens=2, seed=3,
+                               extra=["--resume", str(resumable)])) == 0
+    assert (out / "ckpt_2.bin").exists()
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    from dynevo import evolution as ev
+
+    out = tmp_path / "run"
+    run_cli(evolve_args(out, pop=4, gens=1))
+    ckpt = out / "ckpt_1.bin"
+    before = ckpt.read_bytes()
+    pop, cfg, records = load_checkpoint(before)
+    pop.agents[0].fitness = 123.0  # a different payload for the new write
+    real_write_bytes = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(RuntimeError, match="checkpoint write failed"):
+        ev._write_checkpoint(out, pop, cfg, records)
+    monkeypatch.undo()
+    assert ckpt.read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ckpt_1.bin", "elite.bin", "elite.dot", "manifest.json", "metrics.csv",
+    ]

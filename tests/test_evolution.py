@@ -44,6 +44,24 @@ def test_config_validation():
         small_cfg(task="Ant-v3").validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("population_size", "8"),
+    ("population_size", 8.0),
+    ("generations", True),
+    ("master_seed", None),
+    ("workers", "2"),
+    ("checkpoint_every", 1.5),
+    ("perturb_sigma", "0.1"),
+    ("init_sigma", None),
+    ("task", 5),
+    ("task", ["CartPole-v1"]),
+    ("mode", None),
+])
+def test_config_validation_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_cfg(**{field: value}).validate()
+
+
 def test_init_population_dynamic():
     cfg = small_cfg(population_size=4)
     pop = init_population(cfg, get_spec(cfg.task))
