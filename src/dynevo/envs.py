@@ -87,6 +87,13 @@ class RunningStandardizer:
         self.mean = [0.0] * dim
         self.m2 = [0.0] * dim
 
+    def copy(self) -> "RunningStandardizer":
+        s = RunningStandardizer(self.dim)
+        s.count = self.count
+        s.mean = list(self.mean)
+        s.m2 = list(self.m2)
+        return s
+
     def _column(self, x) -> np.ndarray:
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} values, got {len(x)}")

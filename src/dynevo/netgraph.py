@@ -67,7 +67,7 @@ def decode_framed(data: bytes, magic: bytes, version: int, error: type, what: st
         raise error(f"unsupported {what} format version {found}")
     try:
         return json.loads(data[len(magic) + 4 :].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"corrupt {what} payload: {exc}") from exc
 
 
@@ -81,6 +81,12 @@ class Node:
         self.bias = bias
         self.in_ids: list[int] = []   # ordered; defines summation order
         self.out_ids: list[int] = []
+
+    def copy(self) -> "Node":
+        node = Node(self.id, self.kind, self.layer, self.bias)
+        node.in_ids = self.in_ids.copy()
+        node.out_ids = self.out_ids.copy()
+        return node
 
     def __repr__(self) -> str:
         return f"Node({self.id}, {self.kind}, L{self.layer})"
@@ -515,40 +521,68 @@ class DynamicNet:
     # validation
 
     def validate(self) -> None:
-        """Full structural audit; raises AssertionError on any violation."""
-        inputs = [n for n in self.nodes.values() if n.kind == INPUT]
-        outputs = [n for n in self.nodes.values() if n.kind == OUTPUT]
-        assert len(inputs) == self.d_input
-        assert len(outputs) == self.d_output
-        assert sorted(n.id for n in inputs) == self.input_ids
-        assert sorted(n.id for n in outputs) == self.output_ids
-        layers = {n.layer for n in self.nodes.values()}
-        assert layers == set(range(self.layer_count)), "empty or out-of-range layer"
-        for n in inputs:
-            assert n.layer == 0 and not n.in_ids
-        for n in outputs:
-            assert n.layer == self.layer_count - 1
-        for n in self.nodes.values():
-            if n.kind == HIDDEN:
-                assert 0 < n.layer < self.layer_count - 1
-                assert n.in_ids and n.out_ids, f"dead hidden node {n.id}"
-        edges_from_lists = set()
-        for n in self.nodes.values():
-            assert len(set(n.in_ids)) == len(n.in_ids), "duplicate in-connection"
-            assert len(set(n.out_ids)) == len(n.out_ids), "duplicate out-connection"
-            for src in n.in_ids:
-                edges_from_lists.add((src, n.id))
-                assert n.id in self.nodes[src].out_ids
-            for dst in n.out_ids:
-                assert self.nodes[dst].kind != INPUT
-                assert n.id in self.nodes[dst].in_ids
-        assert edges_from_lists == set(self.weights), "edge collections disagree"
+        """Full structural audit; raises AssertionError on any violation.
+
+        Linear in nodes plus connections. Every check raises explicitly,
+        so ``python -O`` keeps them.
+        """
+        nodes, weights, last = self.nodes, self.weights, self.layer_count - 1
+        if self.d_input < 1 or self.d_output < 1 or last < 1:
+            raise AssertionError("bad dimensions or layer count")
+        ids = {INPUT: [], HIDDEN: [], OUTPUT: []}
+        for n in nodes.values():
+            if n.kind not in ids:
+                raise AssertionError(f"node {n.id} has unknown kind {n.kind!r}")
+            ids[n.kind].append(n.id)
+        # Counts first, so a huge declared size fails without building a list.
+        if len(ids[INPUT]) != self.d_input or sorted(ids[INPUT]) != self.input_ids:
+            raise AssertionError("input nodes disagree with d_input")
+        if len(ids[OUTPUT]) != self.d_output or sorted(ids[OUTPUT]) != self.output_ids:
+            raise AssertionError("output nodes disagree with d_output")
+        if max(nodes) >= self.next_id:
+            raise AssertionError("node id at or past next_id")
+        layers = {n.layer for n in nodes.values()}
+        if len(layers) != self.layer_count or layers != set(range(self.layer_count)):
+            raise AssertionError("empty or out-of-range layer")
+        fan_in = fan_out = 0
+        for n in nodes.values():
+            nid, in_ids, out_ids = n.id, n.in_ids, n.out_ids
+            if n.kind == INPUT:
+                if n.layer != 0 or in_ids:
+                    raise AssertionError(f"input {nid} outside layer 0 or fed")
+            elif n.kind == OUTPUT:
+                if n.layer != last:
+                    raise AssertionError(f"output {nid} not in the last layer")
+            elif not 0 < n.layer < last:
+                raise AssertionError(f"hidden {nid} outside the hidden layers")
+            elif not (in_ids and out_ids):
+                raise AssertionError(f"dead hidden node {nid}")
+            if len(set(in_ids)) != len(in_ids) or len(set(out_ids)) != len(out_ids):
+                raise AssertionError(f"node {nid} lists a connection twice")
+            for src in in_ids:
+                if (src, nid) not in weights:
+                    raise AssertionError(f"connection {src}->{nid} has no weight")
+            for dst in out_ids:
+                if (nid, dst) not in weights:
+                    raise AssertionError(f"connection {nid}->{dst} has no weight")
+            fan_in += len(in_ids)
+            fan_out += len(out_ids)
+        # Distinct listed edges, all weighted, as many as the weights: the
+        # in-lists, the out-lists and the weights hold one edge set.
+        if not fan_in == len(weights) == fan_out:
+            raise AssertionError("edge collections disagree")
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_obj(self) -> dict:
-        """Plain-dict form used by both the genome codec and checkpoints."""
+        """Plain-dict form used by both the genome codec and checkpoints.
+
+        Connections are listed in emitting order (see :meth:`emitting_list`),
+        so ``from_obj`` rebuilds every ``out_ids`` order exactly.
+        """
+        nodes = [self.nodes[nid] for nid in sorted(self.nodes)]
+        weights = self.weights
         return {
             "d_input": self.d_input,
             "d_output": self.d_output,
@@ -556,23 +590,18 @@ class DynamicNet:
             "architecture_frozen": self.architecture_frozen,
             "next_id": self.next_id,
             "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "layer": n.layer,
-                    "bias": n.bias,
-                    "in": list(n.in_ids),
-                }
-                for nid in sorted(self.nodes)
-                for n in (self.nodes[nid],)
+                {"id": n.id, "kind": n.kind, "layer": n.layer, "bias": n.bias,
+                 "in": list(n.in_ids)}
+                for n in nodes
             ],
             "connections": [
-                [s, d, self.weights[(s, d)]] for s, d in self.emitting_list()
+                [n.id, dst, weights[(n.id, dst)]] for n in nodes for dst in n.out_ids
             ],
         }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "DynamicNet":
+        """Parse a genome read from disk; it must pass :meth:`validate`."""
         try:
             net = cls.__new__(cls)
             net.d_input = int(obj["d_input"])
@@ -583,21 +612,32 @@ class DynamicNet:
             net.nodes = {}
             net.weights = {}
             for rec in obj["nodes"]:
-                node = Node(int(rec["id"]), rec["kind"], int(rec["layer"]),
+                node = Node(int(rec["id"]), str(rec["kind"]), int(rec["layer"]),
                             float(rec["bias"]))
                 node.in_ids = [int(x) for x in rec["in"]]
                 net.nodes[node.id] = node
+            if len(net.nodes) != len(obj["nodes"]):
+                raise ValueError("duplicate node id")
             # Rebuild out_ids from the connection list so the recorded
             # emitting order (and thus prune sampling) round-trips exactly.
             for s, d, w in obj["connections"]:
-                net.nodes[int(s)].out_ids.append(int(d))
-                net.weights[(int(s), int(d))] = float(w)
-            if set(net.weights) != {
-                (s, n.id) for n in net.nodes.values() for s in n.in_ids
-            }:
-                raise GenomeFormatError("connection/node lists disagree")
-        except (KeyError, TypeError, ValueError) as exc:
+                s, d = int(s), int(d)
+                net.nodes[s].out_ids.append(d)
+                net.weights[(s, d)] = float(w)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GenomeFormatError(f"malformed genome object: {exc}") from exc
+        try:
+            net.validate()
+        except AssertionError as exc:
+            raise GenomeFormatError(f"invalid genome: {exc}") from exc
+        return net
+
+    def copy(self) -> "DynamicNet":
+        """Independent copy, field for field (the in-memory clone path)."""
+        net = DynamicNet.__new__(DynamicNet)
+        net.__dict__.update(self.__dict__)
+        net.nodes = {nid: node.copy() for nid, node in self.nodes.items()}
+        net.weights = dict(self.weights)
         return net
 
     def serialize(self) -> bytes:

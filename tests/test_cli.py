@@ -1,12 +1,22 @@
 """End-to-end checks of the command-line harness."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dynevo
 from dynevo.cli import main
-from dynevo.evolution import load_checkpoint
+from dynevo.evolution import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    CheckpointFormatError,
+    load_checkpoint,
+)
+from dynevo.netgraph import decode_framed, encode_framed
 
 
 def run_cli(args):
@@ -231,6 +241,87 @@ def test_resume_from_checkpoint_with_wrong_config_type_is_error_line(tmp_path, r
         run_cli(["evolve", "--task", "CartPole-v1", "--gens", "2",
                  "--resume", str(bad), "--out", str(tmp_path / "r")])
     assert str(exc.value).startswith("error: cannot resume: corrupt checkpoint")
+
+
+def _reading_commands(ckpt, tmp_path):
+    """Each command that reads a checkpoint, by name."""
+    return {
+        "test": ["test", str(ckpt)],
+        "export-dot": ["export-dot", str(ckpt), str(tmp_path / "o.dot")],
+        "resume": ["evolve", "--task", "CartPole-v1", "--gens", "2", "--workers", "1",
+                   "--resume", str(ckpt), "--out", str(tmp_path / "r")],
+    }
+
+
+@pytest.fixture
+def invalid_checkpoint(tmp_path, resumable):
+    """The resumable checkpoint with slot 0's output nodes moved to layer 0."""
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(resumable.read_bytes(), *frame, CheckpointFormatError, "checkpoint")
+    for node in obj["agents"][0]["genome"]["nodes"]:
+        if node["kind"] == "output":
+            node["layer"] = 0
+    path = tmp_path / "invalid.bin"
+    path.write_bytes(encode_framed(*frame, obj))
+    return path
+
+
+@pytest.mark.parametrize("command", ["test", "export-dot", "resume"])
+def test_invalid_genome_in_checkpoint_is_error_line(tmp_path, invalid_checkpoint, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_reading_commands(invalid_checkpoint, tmp_path)[command])
+    assert str(exc.value).startswith("error:")
+    assert "empty or out-of-range layer" in str(exc.value)
+    assert not list(tmp_path.glob("r/ckpt_*"))
+
+
+def test_export_dot_invalid_genome_file_is_error_line(tmp_path):
+    from dynevo import RngStream, new_minimal
+
+    net = new_minimal(2, 1)
+    net.grow_node(RngStream(0))  # inputs -> hidden 3 -> output 2
+    net._remove_connection(3, 2)  # hidden 3 is left dead
+    gpath = tmp_path / "dead.bin"
+    gpath.write_bytes(net.serialize())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["export-dot", str(gpath), str(tmp_path / "o.dot")])
+    assert str(exc.value) == "error: invalid genome: dead hidden node 3"
+
+
+def test_invalid_checkpoint_rejected_under_python_O(invalid_checkpoint):
+    # Under -O, a bare assert would let the invalid genome through.
+    env = dict(os.environ, PYTHONPATH=str(Path(dynevo.__file__).parents[1]))
+    stripped = subprocess.run([sys.executable, "-O", "-c", "assert False"], env=env)
+    assert stripped.returncode == 0
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "dynevo.cli", "test", str(invalid_checkpoint)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "empty or out-of-range layer" in proc.stderr
+
+
+def _cut_lengths(data):
+    payload = len(CHECKPOINT_MAGIC) + 4
+    return {
+        "empty": 0,
+        "magic": len(CHECKPOINT_MAGIC),
+        "magic+version": payload,
+        "half-payload": payload + (len(data) - payload) // 2,
+        "all-but-last-byte": len(data) - 1,
+    }
+
+
+@pytest.mark.parametrize("command", ["test", "export-dot", "resume"])
+@pytest.mark.parametrize("cut", list(_cut_lengths(b"")))
+def test_truncated_checkpoint_is_error_line(tmp_path, resumable, cut, command):
+    data = resumable.read_bytes()
+    path = tmp_path / "cut.bin"
+    path.write_bytes(data[: _cut_lengths(data)[cut]])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_reading_commands(path, tmp_path)[command])
+    assert str(exc.value).startswith("error:")
 
 
 def test_resume_accepts_equal_run_flags(tmp_path, resumable):

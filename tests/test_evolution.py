@@ -7,6 +7,8 @@ import pytest
 
 from dynevo.envs import get_spec
 from dynevo.evolution import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Agent,
     CheckpointFormatError,
     EvolutionConfig,
@@ -24,6 +26,7 @@ from dynevo.evolution import (
     variation,
     TEST_SEEDS,
 )
+from dynevo.netgraph import decode_framed, encode_framed
 from dynevo.rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
 
@@ -170,8 +173,17 @@ def test_duplicates_diverge_after_variation():
     variation(pop, cfg)
     evaluate(pop, cfg, get_spec(cfg.task))
     select(pop)
-    # slots 0 and 2 hold identical genomes now
-    assert pop.agents[0].genome.to_obj() == pop.agents[2].genome.to_obj()
+    # slots 0 and 2 hold identical genomes now, sharing no mutable list
+    survivor, clone = pop.agents[0], pop.agents[2]
+    assert clone.genome.to_obj() == survivor.genome.to_obj()
+    assert list(clone.genome.nodes) == list(survivor.genome.nodes)
+    assert clone.genome.weights is not survivor.genome.weights
+    for nid, node in survivor.genome.nodes.items():
+        assert clone.genome.nodes[nid].in_ids is not node.in_ids
+        assert clone.genome.nodes[nid].out_ids is not node.out_ids
+    assert clone.standardizer.__dict__ == survivor.standardizer.__dict__
+    assert clone.standardizer.mean is not survivor.standardizer.mean
+    assert clone.standardizer.m2 is not survivor.standardizer.m2
     variation(pop, cfg)
     assert pop.agents[0].genome.to_obj() != pop.agents[2].genome.to_obj()
 
@@ -305,6 +317,36 @@ def test_checkpoint_rejects_corruption():
         load_checkpoint(b"DYNEVO-CKPT\x01\x00\x00\x00{broken")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(b"something else entirely")
+    with pytest.raises(CheckpointFormatError):  # nested past the recursion limit
+        load_checkpoint(b"DYNEVO-CKPT\x01\x00\x00\x00" + b"[" * 100_000)
+
+
+def _relabel_task(obj):
+    obj["config"]["task"] = "CartPole-v1"
+
+
+def _relabel_mode(obj):
+    obj["config"]["mode"] = "static"
+
+
+def _drop_agent(obj):
+    obj["agents"].pop()
+
+
+def _short_moments(obj):
+    obj["agents"][1]["standardizer"]["mean"].pop()
+
+
+@pytest.mark.parametrize("edit", [_relabel_task, _relabel_mode, _drop_agent, _short_moments])
+def test_checkpoint_rejects_population_that_does_not_fit(edit):
+    cfg = EvolutionConfig(task="Pendulum-v1", population_size=4, generations=1)
+    pop, records = run_evolution(cfg)
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(save_checkpoint(pop, cfg, records), *frame,
+                        CheckpointFormatError, "checkpoint")
+    edit(obj)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(encode_framed(*frame, obj))
 
 
 def test_resume_equivalence():

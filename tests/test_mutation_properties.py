@@ -176,6 +176,14 @@ def test_mutation_walk_preserves_invariants(seed, steps):
     assert not audit(net)
     clone = DynamicNet.deserialize(net.serialize())
     assert clone.to_obj() == net.to_obj()
+    before = net.to_obj()
+    twin = net.copy()
+    assert twin.to_obj() == before
+    for _ in range(steps):
+        twin.mutate(rng)
+    twin.perturb_parameters(rng, 0.1)
+    assert not audit(twin)
+    assert net.to_obj() == before
 
 
 @settings(max_examples=25, deadline=None)

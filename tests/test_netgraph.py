@@ -5,7 +5,7 @@ import math
 import pytest
 
 from dynevo import DynamicNet, RngStream, build_static, new_minimal
-from dynevo.netgraph import GenomeFormatError
+from dynevo.netgraph import GENOME_MAGIC, GENOME_VERSION, GenomeFormatError, encode_framed
 
 from oracles import ScriptedRng
 
@@ -148,6 +148,8 @@ def test_serialize_roundtrip_preserves_everything():
 def test_deserialize_rejects_garbage():
     with pytest.raises(GenomeFormatError):
         DynamicNet.deserialize(b"not a genome at all")
+    with pytest.raises(GenomeFormatError):  # nested past the recursion limit
+        DynamicNet.deserialize(GENOME_MAGIC + b"\x01\x00\x00\x00" + b"[" * 100_000)
 
 
 def test_deserialize_rejects_truncated():
@@ -161,6 +163,63 @@ def test_deserialize_rejects_bad_version():
     data[6] = 99
     with pytest.raises(GenomeFormatError):
         DynamicNet.deserialize(bytes(data))
+
+
+def _dead_hidden_node(obj):
+    """Cut the hidden node's only out-connection, leaving it dead."""
+    hidden = next(n for n in obj["nodes"] if n["kind"] == "hidden")
+    obj["connections"] = [c for c in obj["connections"] if c[0] != hidden["id"]]
+    for n in obj["nodes"]:
+        n["in"] = [s for s in n["in"] if s != hidden["id"]]
+
+
+def _outputs_to_layer_0(obj):
+    for n in obj["nodes"]:
+        if n["kind"] == "output":
+            n["layer"] = 0
+
+
+def _unknown_kind(obj):
+    next(n for n in obj["nodes"] if n["kind"] == "hidden")["kind"] = "bogus"
+
+
+def _duplicate_node(obj):
+    obj["nodes"].append(dict(obj["nodes"][-1]))
+
+
+def _id_past_counter(obj):
+    obj["next_id"] = max(n["id"] for n in obj["nodes"])
+
+
+def _unlisted_connection(obj):
+    obj["connections"].append([0, obj["d_input"], 1.0])
+
+
+@pytest.mark.parametrize("edit", [
+    _dead_hidden_node, _outputs_to_layer_0, _unknown_kind, _duplicate_node,
+    _id_past_counter, _unlisted_connection,
+])
+def test_from_obj_rejects_invalid_genome(edit):
+    net = new_minimal(2, 1)
+    net.grow_node(RngStream(0))  # inputs -> hidden 3 -> output 2
+    obj = net.to_obj()
+    DynamicNet.from_obj(obj).validate()
+    edit(obj)
+    with pytest.raises(GenomeFormatError):
+        DynamicNet.from_obj(obj)
+    data = encode_framed(GENOME_MAGIC, GENOME_VERSION, obj)
+    with pytest.raises(GenomeFormatError):
+        DynamicNet.deserialize(data)
+
+
+def test_copy_of_static_perturbs_alone():
+    net = build_static(4, 2)
+    twin = net.copy()
+    twin.perturb_parameters(RngStream(3), 0.1)
+    assert all(w == 0.0 for w in net.weights.values())
+    assert all(n.bias == 0.0 for n in net.nodes.values())
+    assert any(w != 0.0 for w in twin.weights.values())
+    assert twin.architecture_frozen and twin.param_count() == net.param_count()
 
 
 def test_to_dot_minimal():
