@@ -45,7 +45,7 @@ def _add_evolve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: $DYNEVO_WORKERS or 1)",
+        help="most worker processes (default: $DYNEVO_WORKERS or 1)",
     )
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--checkpoint-every", type=int, default=None)
@@ -115,7 +115,6 @@ def cmd_evolve(args) -> int:
     if args.out is None:
         raise SystemExit("error: --out is required")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     resume = None
     if args.resume:
@@ -140,14 +139,6 @@ def cmd_evolve(args) -> int:
         resume = (pop, records)
         _log(f"resuming at generation {pop.generation}")
 
-    manifest = {
-        "config": asdict(cfg),
-        "start_timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "code_version": __version__,
-        "out_dir": str(out_dir),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
     def progress(pop, record):
         if record.generation % 10 == 0 or record.generation == cfg.generations - 1:
             _log(
@@ -156,11 +147,26 @@ def cmd_evolve(args) -> int:
                 f"  elite params {record.elite_params}"
             )
 
-    pop, records = run_evolution(cfg, out_dir=out_dir, resume=resume,
-                                 on_generation=progress)
-    elite = elite_of(pop)
-    write_atomic(out_dir / "elite.bin", elite.genome.serialize())
-    write_atomic(out_dir / "elite.dot", elite.genome.to_dot().encode())
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = {
+            "config": asdict(cfg),
+            "start_timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "code_version": __version__,
+            "out_dir": str(out_dir),
+        }
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        pop, records = run_evolution(cfg, out_dir=out_dir, resume=resume,
+                                     on_generation=progress)
+        elite = elite_of(pop)
+        write_atomic(out_dir / "elite.bin", elite.genome.serialize())
+        write_atomic(out_dir / "elite.dot", elite.genome.to_dot().encode())
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write run directory {out_dir}: {exc}")
+    except RuntimeError as exc:
+        if not isinstance(exc.__cause__, OSError):  # not a failed checkpoint write
+            raise
+        raise SystemExit(f"error: {exc}")
     _log(
         f"done: {len(records)} generations recorded, elite fitness "
         f"{elite.fitness:.2f}, {elite.genome.param_count()} parameters"

@@ -10,8 +10,10 @@ Each generation runs three stages over a population of agents:
 
 All randomness is derived per (master_seed, generation, slot, purpose),
 so results are a pure function of the config and independent of worker
-count and scheduling. Evaluation runs the population in contiguous
-shards, one per pool worker, each shard as one lockstep batch.
+count and scheduling. Evaluation runs the population as one lockstep
+batch, or, when the batch carries enough plan edges to repay a process
+round trip per shard, in contiguous shards on pool workers
+(``shard_count``); ``workers`` is only an upper bound.
 """
 
 from __future__ import annotations
@@ -178,6 +180,35 @@ def episode_seeds_for(generation: int, spec: EnvSpec) -> list[int]:
     return [generation * e + i for i in range(e)]
 
 
+# Plan edges (connections plus biases) that each worker shard must carry
+# before sharding pays: below this per shard, the pickle round trip and the
+# step loop's fixed cost repeated in every shard outweigh the split work.
+# The crossover measurement is in the README, "How evaluation runs".
+MIN_SHARD_EDGES = 8192
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def shard_count(genomes, workers: int) -> int:
+    """How many shards to cut a batch of ``genomes`` into.
+
+    At most ``workers``, the usable cores and the batch size, and at most
+    one shard per ``MIN_SHARD_EDGES`` plan edges in the batch; never fewer
+    than one.
+    """
+    limit = min(workers, usable_cores(), len(genomes))
+    if limit <= 1:
+        return 1
+    edges = sum(g.param_count() for g in genomes)
+    return max(1, min(limit, edges // MIN_SHARD_EDGES))
+
+
 def _evaluate_one(payload):
     """Score one shard: ``(genomes, standardizers, task, seeds)`` -> ``(fitnesses, standardizers)``."""
     genomes, standardizers, task, seeds = payload
@@ -189,24 +220,38 @@ def _evaluate_one(payload):
 def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) -> None:
     """Score every agent on this generation's shared episode seeds.
 
-    The population is cut into ``cfg.workers`` contiguous shards (one
-    without a pool); each shard runs as one lockstep batch, in one pool
-    round trip.
+    The population is cut into ``shard_count`` contiguous shards, each
+    run as one lockstep batch. One shard (always, without a pool) runs in
+    this process; several each make one round trip to a pool worker. A
+    failure while scoring a shard is raised as ``RuntimeError`` naming the
+    generation and the shard's slots.
     """
-    seeds = episode_seeds_for(pop.generation, spec)
-    n, k = len(pop.agents), cfg.workers if pool is not None else 1
+    g = pop.generation
+    seeds = episode_seeds_for(g, spec)
+    n = len(pop.agents)
+    k = shard_count([a.genome for a in pop.agents], cfg.workers) if pool is not None else 1
     shards = [pop.agents[i * n // k : (i + 1) * n // k] for i in range(k)]
-    shards = [shard for shard in shards if shard]
     payloads = [
         ([a.genome for a in shard], [a.standardizer for a in shard], cfg.task, seeds)
         for shard in shards
     ]
-    results = (pool.map if pool is not None else map)(_evaluate_one, payloads)
-    for shard, (fitnesses, standardizers) in zip(shards, results):
+    if k == 1:
+        jobs = [lambda: _evaluate_one(payloads[0])]
+    else:
+        jobs = [pool.submit(_evaluate_one, payload).result for payload in payloads]
+    for shard, job in zip(shards, jobs):
+        try:
+            fitnesses, standardizers = job()
+        except Exception as exc:
+            raise RuntimeError(
+                f"generation {g}: scoring slots {shard[0].slot}-{shard[-1].slot} "
+                f"failed: {type(exc).__name__}: {exc}"
+            ) from exc
         for agent, fitness, standardizer in zip(shard, fitnesses, standardizers):
             if not math.isfinite(fitness):
                 raise RuntimeError(
-                    f"non-finite fitness {fitness} for agent slot {agent.slot}"
+                    f"generation {g}: non-finite fitness {fitness} for agent slot "
+                    f"{agent.slot}"
                 )
             agent.fitness = fitness
             agent.standardizer = standardizer
@@ -281,9 +326,12 @@ def run_evolution(
         metrics_path.write_text("".join(row + "\n" for row in rows))
 
     saved = None
+    # The pool starts its processes at the first submit, so a run whose
+    # generations never shard never forks.
     pool = None
-    if cfg.workers > 1:
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
+    max_workers = min(cfg.workers, usable_cores())
+    if max_workers > 1:
+        pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         while pop.generation < cfg.generations:
             start = time.perf_counter()

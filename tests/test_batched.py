@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,16 @@ import pytest
 
 from dynevo import RngStream, build_static, new_minimal
 from dynevo.envs import Discrete, RunningStandardizer, _pow2, get_spec, run_episode_batch
-from dynevo.evolution import EvolutionConfig, run_evolution, save_checkpoint
+from dynevo import evolution
+from dynevo.evolution import (
+    EvolutionConfig,
+    evaluate,
+    init_population,
+    run_evolution,
+    save_checkpoint,
+    shard_count,
+    variation,
+)
 from dynevo.rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
 from oracles import naive_forward
@@ -239,7 +249,114 @@ def _digests(task, workers):
     return hashlib.sha256(rows).hexdigest(), hashlib.sha256(ckpt).hexdigest()
 
 
+@pytest.fixture
+def forced_shards(monkeypatch):
+    """Shard any batch into up to ``workers`` shards, whatever its edges and the host."""
+    monkeypatch.setattr(evolution, "MIN_SHARD_EDGES", 1)
+    monkeypatch.setattr(evolution, "usable_cores", lambda: 4)
+
+
 @pytest.mark.parametrize("task", ["CartPole-v1", "Pendulum-v1"])
-def test_digests_independent_of_worker_count(task):
+def test_digests_independent_of_worker_count(task, forced_shards, monkeypatch):
+    submitted = []
+    real_submit = ProcessPoolExecutor.submit
+
+    def counting_submit(self, fn, *args):
+        submitted.append(len(args[0][0]))
+        return real_submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    one = _digests(task, 1)
+    assert submitted == []
+    two = _digests(task, 2)
+    assert submitted == [5, 5] * 3
+    submitted.clear()
     # population 10 over 3 workers gives uneven shards (3, 3, 4)
-    assert _digests(task, 1) == _digests(task, 2) == _digests(task, 3)
+    three = _digests(task, 3)
+    assert submitted == [3, 3, 4] * 3
+    assert one == two == three
+
+
+# ----------------------------------------------------------------------
+# the shard-count rule
+
+
+class _Unsummed:
+    def param_count(self):
+        raise AssertionError("edges summed")
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(evolution, "usable_cores", lambda: n)
+
+
+def test_shard_count_small_dynamic_population_runs_as_one(monkeypatch):
+    spec = get_spec("Pendulum-v1")
+    genomes = [new_minimal(spec.obs_dim, spec.action_space.arity) for _ in range(64)]
+    for cores in (2, 8):
+        _cores(monkeypatch, cores)
+        assert shard_count(genomes, 8) == 1
+
+
+def test_shard_count_static_population_shards(monkeypatch):
+    genomes = [build_static(3, 1)] * 32  # 253k plan edges
+    _cores(monkeypatch, 2)
+    assert shard_count(genomes, 2) == 2
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+def test_shard_count_never_exceeds_usable_cores(monkeypatch, cores):
+    genomes = [build_static(3, 1)] * 32
+    _cores(monkeypatch, cores)
+    for workers in (1, 2, 4, 16):
+        assert shard_count(genomes, workers) == min(workers, cores)
+
+
+def test_shard_count_one_worker_sums_no_edges(monkeypatch):
+    _cores(monkeypatch, 8)
+    assert shard_count([_Unsummed()] * 64, 1) == 1
+
+
+# ----------------------------------------------------------------------
+# failures while scoring name the generation and the slots
+
+
+def _pendulum_population(size=10):
+    cfg = EvolutionConfig(task="Pendulum-v1", population_size=size, workers=2)
+    spec = get_spec(cfg.task)
+    pop = init_population(cfg, spec)
+    variation(pop, cfg)
+    return pop, cfg, spec
+
+
+@pytest.mark.parametrize("pooled, slots", [(False, "0-9"), (True, "5-9")])
+def test_scoring_failure_names_generation_and_slots(forced_shards, pooled, slots):
+    pop, cfg, spec = _pendulum_population()
+    pop.generation = 4
+    pop.agents[7].genome = new_minimal(2, 1)  # does not fit Pendulum's 3 inputs
+    pool = ProcessPoolExecutor(max_workers=2) if pooled else None
+    try:
+        with pytest.raises(RuntimeError) as exc:
+            evaluate(pop, cfg, spec, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    assert str(exc.value).startswith(f"generation 4: scoring slots {slots} failed: ValueError")
+    assert "do not match Pendulum-v1" in str(exc.value)
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_non_finite_fitness_names_generation(forced_shards, monkeypatch, pooled):
+    pop, cfg, spec = _pendulum_population()
+    pop.generation = 6
+    # Forked workers inherit the patched name.
+    monkeypatch.setattr(evolution, "run_episode_batch",
+                        lambda genomes, *_: [math.nan] * len(genomes))
+    pool = ProcessPoolExecutor(max_workers=2) if pooled else None
+    try:
+        with pytest.raises(RuntimeError, match="^generation 6: non-finite fitness nan "
+                                               "for agent slot 0$"):
+            evaluate(pop, cfg, spec, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown()

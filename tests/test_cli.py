@@ -272,7 +272,7 @@ def test_invalid_genome_in_checkpoint_is_error_line(tmp_path, invalid_checkpoint
         run_cli(_reading_commands(invalid_checkpoint, tmp_path)[command])
     assert str(exc.value).startswith("error:")
     assert "empty or out-of-range layer" in str(exc.value)
-    assert not list(tmp_path.glob("r/ckpt_*"))
+    assert not (tmp_path / "r").exists()
 
 
 def test_export_dot_invalid_genome_file_is_error_line(tmp_path):
@@ -354,3 +354,29 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == [
         "ckpt_1.bin", "elite.bin", "elite.dot", "manifest.json", "metrics.csv",
     ]
+
+
+def test_out_under_regular_file_is_error_line(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(blocker / "run", pop=4, gens=1))
+    assert str(exc.value).startswith(f"error: cannot write run directory {blocker / 'run'}")
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_failed_checkpoint_write_is_error_line(tmp_path, monkeypatch):
+    from dynevo import evolution as ev
+
+    def no_space(path, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ev, "write_atomic", no_space)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(out, pop=4, gens=2, extra=["--checkpoint-every", "1"]))
+    assert str(exc.value) == (
+        f"error: checkpoint write failed at {out / 'ckpt_1.bin'}: "
+        "[Errno 28] No space left on device"
+    )
+    assert not list(out.glob("ckpt_*")) and not (out / "elite.bin").exists()
