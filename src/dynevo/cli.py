@@ -1,9 +1,11 @@
 """Command-line interface: evolve runs, elite testing, DOT export.
 
 The CLI is the only place that touches the filesystem; the library
-modules only produce and consume explicit byte sequences. Every run
-directory is self-describing: ``manifest.json`` (config echo),
-``metrics.csv`` (one row per generation), checkpoints, the final elite
+modules only produce and consume explicit byte sequences. ``evolve``
+resolves the config and owns the run directory, which is
+self-describing: ``manifest.json`` (config echo), ``metrics.csv`` (one
+row per generation), ``ckpt_<generation>.bin`` every
+``checkpoint_every`` generations plus a final one, the final elite
 genome and its DOT export. Progress goes to stderr; data goes to files.
 """
 
@@ -17,18 +19,18 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__
+from . import __version__, evolution
 from .envs import SUPPORTED_TASKS, get_spec
 from .evolution import (
     CHECKPOINT_MAGIC,
     TEST_SEEDS,
     CheckpointFormatError,
     EvolutionConfig,
+    RunRecord,
     elite_of,
     load_checkpoint,
     run_evolution,
     test_elite,
-    write_atomic,
 )
 from .netgraph import DynamicNet, GenomeFormatError
 
@@ -65,9 +67,20 @@ _CONFIG_KEYS = {
     "init_sigma": "init_sigma",
 }
 
+# A resumed run keeps these; a value given for one must equal the checkpoint's.
+_RUN_DEFINING = ("task", "mode", "population_size", "master_seed", "perturb_sigma",
+                 "init_sigma")
 
-def _requested_values(args) -> dict:
-    """Config fields set by ``--config`` and the flags; flags win."""
+
+def _build_config(args):
+    """The run's config and, under ``--resume``, the loaded ``(population, records)``.
+
+    The ``--config`` file is read once. Fields come from the flags, then
+    the file, then the base: ``EvolutionConfig``'s defaults for a fresh
+    run, the checkpoint's config under ``--resume``, where the
+    ``_RUN_DEFINING`` fields are always the checkpoint's. ``workers`` never
+    comes from a checkpoint; it falls back to ``$DYNEVO_WORKERS``, then 1.
+    """
     values: dict = {}
     if args.config:
         path = Path(args.config)
@@ -81,40 +94,10 @@ def _requested_values(args) -> dict:
             if key not in _CONFIG_KEYS:
                 raise SystemExit(f"error: unknown config key {key!r}")
             values[_CONFIG_KEYS[key]] = val
-    for flag in ("task", "mode", "pop", "gens", "seed", "checkpoint_every"):
+    for flag in ("task", "mode", "pop", "gens", "seed", "workers", "checkpoint_every"):
         val = getattr(args, flag)
         if val is not None:
             values[_CONFIG_KEYS[flag]] = val
-    return values
-
-
-def _build_config(args) -> EvolutionConfig:
-    values = _requested_values(args)
-    workers = args.workers
-    if workers is None:
-        workers = values.get("workers")
-        if not workers:
-            env = os.environ.get("DYNEVO_WORKERS", "1")
-            try:
-                workers = int(env)
-            except ValueError:
-                raise SystemExit(f"error: DYNEVO_WORKERS is not an integer: {env!r}")
-    values["workers"] = workers
-    if "task" not in values:
-        raise SystemExit("error: --task is required (or provide it via --config)")
-    cfg = EvolutionConfig(**values)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    return cfg
-
-
-def cmd_evolve(args) -> int:
-    cfg = _build_config(args)
-    if args.out is None:
-        raise SystemExit("error: --out is required")
-    out_dir = Path(args.out)
 
     resume = None
     if args.resume:
@@ -122,24 +105,79 @@ def cmd_evolve(args) -> int:
             pop, ckpt_cfg, records = load_checkpoint(Path(args.resume).read_bytes())
         except (OSError, CheckpointFormatError) as exc:
             raise SystemExit(f"error: cannot resume: {exc}")
-        # Resume keeps the original run parameters except run length and
-        # worker count, which the command line may extend or override.
-        requested = _requested_values(args)
-        for key in ("task", "mode", "population_size", "master_seed"):
-            if key in requested and requested[key] != getattr(ckpt_cfg, key):
+        kept = {key: getattr(ckpt_cfg, key) for key in _RUN_DEFINING}
+        for key, val in kept.items():
+            if key in values and values[key] != val:
                 raise SystemExit(
-                    f"error: {key} {requested[key]!r} differs from the checkpoint's "
-                    f"{getattr(ckpt_cfg, key)!r}; a resumed run keeps its task, "
-                    "mode, population size and seed"
+                    f"error: {key} {values[key]!r} differs from the checkpoint's "
+                    f"{val!r}; a resumed run keeps its {', '.join(_RUN_DEFINING)}"
                 )
-        ckpt_cfg.generations = cfg.generations
-        ckpt_cfg.workers = cfg.workers
-        ckpt_cfg.checkpoint_every = cfg.checkpoint_every
-        cfg = ckpt_cfg
+        values = {"generations": ckpt_cfg.generations,
+                  "checkpoint_every": ckpt_cfg.checkpoint_every, **values, **kept}
         resume = (pop, records)
-        _log(f"resuming at generation {pop.generation}")
+    elif "task" not in values:
+        raise SystemExit("error: --task is required (or provide it via --config)")
+    if "workers" not in values:
+        env = os.environ.get("DYNEVO_WORKERS", "1")
+        try:
+            values["workers"] = int(env)
+        except ValueError:
+            raise SystemExit(f"error: DYNEVO_WORKERS is not an integer: {env!r}")
+    cfg = EvolutionConfig(**values)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    return cfg, resume
 
-    def progress(pop, record):
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` whole or not at all.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; a failed or interrupted write leaves no temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _save_ckpt(out_dir: Path, pop, cfg, records) -> None:
+    """Write ``ckpt_<generation>.bin``; a failed write ends in an ``error:`` line."""
+    path = out_dir / f"ckpt_{pop.generation}.bin"
+    try:
+        # Looked up at call time, so a patched evolution.save_checkpoint
+        # (perfbench/tracer.py) sees every save.
+        write_atomic(path, evolution.save_checkpoint(pop, cfg, records))
+    except OSError as exc:
+        raise SystemExit(f"error: checkpoint write failed at {path}: {exc}")
+
+
+def cmd_evolve(args) -> int:
+    if args.out is None:
+        raise SystemExit("error: --out is required")
+    cfg, resume = _build_config(args)
+    out_dir = Path(args.out)
+    metrics_path = out_dir / "metrics.csv"
+    records = list(resume[1]) if resume else []
+    reached = resume[0].generation if resume else 0
+    saved = None  # generation of the last checkpoint this run wrote
+    if resume:
+        _log(f"resuming at generation {reached}")
+
+    def on_generation(pop, record):
+        nonlocal reached, saved
+        records.append(record)
+        reached = pop.generation
+        with metrics_path.open("a") as fh:
+            fh.write(record.csv_row() + "\n")
+        if cfg.checkpoint_every and pop.generation % cfg.checkpoint_every == 0:
+            _save_ckpt(out_dir, pop, cfg, records)
+            saved = pop.generation
         if record.generation % 10 == 0 or record.generation == cfg.generations - 1:
             _log(
                 f"gen {record.generation:5d}  best {record.best_fitness:10.2f}"
@@ -156,17 +194,23 @@ def cmd_evolve(args) -> int:
             "out_dir": str(out_dir),
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-        pop, records = run_evolution(cfg, out_dir=out_dir, resume=resume,
-                                     on_generation=progress)
+        # metrics.csv starts from the records the run starts from, so resuming
+        # into the checkpoint's own directory leaves one row per generation.
+        rows = [RunRecord.CSV_HEADER] + [r.csv_row() for r in records]
+        metrics_path.write_text("".join(row + "\n" for row in rows))
+        pop, _ = run_evolution(cfg, resume=resume, on_generation=on_generation)
+        if saved != pop.generation:
+            _save_ckpt(out_dir, pop, cfg, records)
+            saved = pop.generation
         elite = elite_of(pop)
         write_atomic(out_dir / "elite.bin", elite.genome.serialize())
         write_atomic(out_dir / "elite.dot", elite.genome.to_dot().encode())
     except OSError as exc:
         raise SystemExit(f"error: cannot write run directory {out_dir}: {exc}")
-    except RuntimeError as exc:
-        if not isinstance(exc.__cause__, OSError):  # not a failed checkpoint write
-            raise
-        raise SystemExit(f"error: {exc}")
+    except KeyboardInterrupt:
+        last = ("no checkpoint written" if saved is None
+                else f"last checkpoint {out_dir / f'ckpt_{saved}.bin'}")
+        raise SystemExit(f"error: interrupted at generation {reached}; {last}")
     _log(
         f"done: {len(records)} generations recorded, elite fitness "
         f"{elite.fitness:.2f}, {elite.genome.param_count()} parameters"
@@ -238,7 +282,10 @@ def main(argv=None) -> int:
     p_dot.set_defaults(func=cmd_export_dot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        raise SystemExit("error: interrupted")
 
 
 if __name__ == "__main__":

@@ -22,10 +22,11 @@ import gc
 import math
 import numbers
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from . import netgraph
 from .envs import EnvSpec, RunningStandardizer, get_spec, run_episode_batch
@@ -294,18 +295,16 @@ def _record_for(pop: Population, generation: int, elapsed: float) -> RunRecord:
 
 def run_evolution(
     cfg: EvolutionConfig,
-    out_dir=None,
     resume: tuple[Population, list] | None = None,
     on_generation=None,
 ):
     """Run the variation/evaluation/selection loop for ``cfg.generations`` generations.
 
-    Returns ``(population, records)``. When ``out_dir`` is given, rewrites
-    ``metrics.csv`` from the starting records, appends a row per generation,
-    and writes ``ckpt_<generation>.bin`` every ``checkpoint_every``
-    generations plus a final checkpoint, each at most once. ``resume``
-    continues a loaded run; the continuation is identical to an
-    uninterrupted one because all randomness is generation-keyed.
+    Returns ``(population, records)``. ``on_generation(pop, record)`` is
+    called after each generation's selection; returning ``False`` stops
+    the run. ``resume`` continues a loaded run; the continuation is
+    identical to an uninterrupted one because all randomness is
+    generation-keyed. The loop reads and writes no file.
     """
     cfg.validate()
     spec = get_spec(cfg.task)
@@ -315,23 +314,13 @@ def run_evolution(
     else:
         pop, records = init_population(cfg, spec), []
 
-    metrics_path = None
-    if out_dir is not None:
-        from pathlib import Path
-
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_path = out_dir / "metrics.csv"
-        rows = [RunRecord.CSV_HEADER] + [r.csv_row() for r in records]
-        metrics_path.write_text("".join(row + "\n" for row in rows))
-
-    saved = None
     # The pool starts its processes at the first submit, so a run whose
-    # generations never shard never forks.
+    # generations never shard never forks. Workers leave Ctrl-C to the parent.
     pool = None
     max_workers = min(cfg.workers, usable_cores())
     if max_workers > 1:
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+        pool = ProcessPoolExecutor(max_workers=max_workers, initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
         while pop.generation < cfg.generations:
             start = time.perf_counter()
@@ -341,47 +330,12 @@ def run_evolution(
             record = _record_for(pop, g, time.perf_counter() - start)
             records.append(record)
             select(pop)
-            if metrics_path is not None:
-                with metrics_path.open("a") as fh:
-                    fh.write(record.csv_row() + "\n")
-            if (
-                out_dir is not None
-                and cfg.checkpoint_every
-                and pop.generation % cfg.checkpoint_every == 0
-            ):
-                _write_checkpoint(out_dir, pop, cfg, records)
-                saved = pop.generation
             if on_generation is not None and on_generation(pop, record) is False:
                 break
     finally:
         if pool is not None:
             pool.shutdown()
-    if out_dir is not None and saved != pop.generation:
-        _write_checkpoint(out_dir, pop, cfg, records)
     return pop, records
-
-
-def _write_checkpoint(out_dir, pop, cfg, records) -> None:
-    path = out_dir / f"ckpt_{pop.generation}.bin"
-    try:
-        write_atomic(path, save_checkpoint(pop, cfg, records))
-    except OSError as exc:
-        raise RuntimeError(f"checkpoint write failed at {path}: {exc}") from exc
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` whole or not at all.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``; a failed write removes the temporary file.
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # ----------------------------------------------------------------------

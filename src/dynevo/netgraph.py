@@ -41,8 +41,6 @@ GENOME_VERSION = 1
 # before giving up and recording a no-op.
 GROW_CONNECTION_ATTEMPTS = 16
 
-MUTATION_KINDS = ("grow_connection", "prune_connection", "grow_node", "prune_node")
-
 
 class GenomeFormatError(ValueError):
     """Raised when genome bytes fail to decode."""

@@ -18,7 +18,6 @@ import numpy as np
 # independent streams for the same (master_seed, generation, slot).
 PURPOSE_PERTURB = 0
 PURPOSE_MUTATE = 1
-PURPOSE_INIT = 2
 
 _MASK64 = (1 << 64) - 1
 

@@ -1,9 +1,12 @@
 """End-to-end checks of the command-line harness."""
 
+import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,9 +119,19 @@ def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("DYNEVO_WORKERS", "2")
     args = argparse.Namespace(
         task="CartPole-v1", mode=None, pop=None, gens=None, seed=None,
-        workers=None, checkpoint_every=None, config=None,
+        workers=None, checkpoint_every=None, config=None, resume=None,
     )
-    assert _build_config(args).workers == 2
+    cfg, resume = _build_config(args)
+    assert cfg.workers == 2 and resume is None
+
+
+def test_config_file_workers_zero_is_error_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("DYNEVO_WORKERS", "2")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": "CartPole-v1", "workers": 0}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert str(exc.value) == "error: workers must be >= 1"
 
 
 def test_test_subcommand(tmp_path, capsys):
@@ -209,11 +222,17 @@ def resumable(tmp_path_factory):
     ["--mode", "static"],
     ["--pop", "8"],
     ["--seed", "99"],
+    {"perturb_sigma": 0.5},  # a dict: --config file contents
+    {"init_sigma": 2.0},
 ])
 def test_resume_rejects_differing_run_flags(tmp_path, resumable, flags):
     args = ["evolve", "--task", "CartPole-v1", "--gens", "2", "--workers", "1",
             "--resume", str(resumable), "--out", str(tmp_path / "r")]
-    if flags[0] == "--task":
+    if isinstance(flags, dict):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(flags))
+        args += ["--config", str(cfg_path)]
+    elif flags[0] == "--task":
         args[2] = flags[1]
     else:
         args += flags
@@ -325,14 +344,168 @@ def test_truncated_checkpoint_is_error_line(tmp_path, resumable, cut, command):
 
 
 def test_resume_accepts_equal_run_flags(tmp_path, resumable):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"perturb_sigma": 0.1, "init_sigma": 1}))
     out = tmp_path / "r"
-    assert run_cli(evolve_args(out, pop=4, gens=2, seed=3,
-                               extra=["--resume", str(resumable)])) == 0
+    assert run_cli(evolve_args(out, pop=4, gens=2, seed=3, extra=[
+        "--resume", str(resumable), "--config", str(cfg_path),
+    ])) == 0
     assert (out / "ckpt_2.bin").exists()
+    # The checkpoint's values are kept: 1.0, not the file's integer 1.
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert repr(manifest["config"]["init_sigma"]) == "1.0"
+
+
+def test_resume_keeps_length_and_cadence_without_task(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    run_cli(evolve_args(first, gens=6, extra=["--checkpoint-every", "2"]))
+    assert run_cli(["evolve", "--resume", str(first / "ckpt_2.bin"),
+                    "--workers", "1", "--out", str(second)]) == 0
+    lines = (second / "metrics.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2", "3", "4", "5"]
+    assert sorted(p.name for p in second.glob("ckpt_*.bin")) == ["ckpt_4.bin", "ckpt_6.bin"]
+    config = json.loads((second / "manifest.json").read_text())["config"]
+    assert (config["task"], config["generations"], config["checkpoint_every"]) == (
+        "CartPole-v1", 6, 2)
+
+
+@pytest.mark.parametrize("gens,every,expected", [
+    (3, 1, [1, 2, 3]),   # last generation is a checkpoint multiple
+    (5, 2, [2, 4, 5]),   # final checkpoint off the schedule
+])
+def test_each_checkpoint_saved_once(tmp_path, monkeypatch, gens, every, expected):
+    from dynevo import evolution as ev
+
+    saved = []
+    real_save = ev.save_checkpoint
+
+    def counting_save(pop, cfg, records):
+        saved.append(pop.generation)
+        return real_save(pop, cfg, records)
+
+    monkeypatch.setattr(ev, "save_checkpoint", counting_save)
+    run_cli(evolve_args(tmp_path, pop=4, gens=gens,
+                        extra=["--checkpoint-every", str(every)]))
+    assert saved == expected
+    assert sorted(p.name for p in tmp_path.glob("ckpt_*.bin")) == sorted(
+        f"ckpt_{g}.bin" for g in expected
+    )
+
+
+def test_interrupted_run_and_resume_lose_nothing(tmp_path, monkeypatch):
+    from dynevo import evolution as ev
+
+    full, out = tmp_path / "full", tmp_path / "run"
+    run_cli(evolve_args(full, gens=6, extra=["--checkpoint-every", "2"]))
+
+    real_evaluate = ev.evaluate
+    interrupt = {"at": None}  # Ctrl-C when evaluation reaches this generation
+
+    def evaluate(pop, *args):
+        if pop.generation == interrupt["at"]:
+            raise KeyboardInterrupt
+        return real_evaluate(pop, *args)
+
+    monkeypatch.setattr(ev, "evaluate", evaluate)
+    interrupt["at"] = 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(tmp_path / "early", gens=6, extra=["--checkpoint-every", "2"]))
+    assert str(exc.value) == "error: interrupted at generation 1; no checkpoint written"
+
+    interrupt["at"] = 3
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(out, gens=6, extra=["--checkpoint-every", "2"]))
+    assert str(exc.value) == (
+        f"error: interrupted at generation 3; last checkpoint {out / 'ckpt_2.bin'}"
+    )
+    resume = ["evolve", "--workers", "1", "--out", str(out), "--resume"]
+    interrupt["at"] = 5
+    with pytest.raises(SystemExit) as exc:
+        run_cli(resume + [str(out / "ckpt_2.bin")])
+    assert str(exc.value) == (
+        f"error: interrupted at generation 5; last checkpoint {out / 'ckpt_4.bin'}"
+    )
+    interrupt["at"] = None
+    assert run_cli(resume + [str(out / "ckpt_4.bin")]) == 0
+
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2", "3", "4", "5"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ckpt_2.bin", "ckpt_4.bin", "ckpt_6.bin", "elite.bin", "elite.dot",
+        "manifest.json", "metrics.csv",
+    ]
+    pop_a, _, recs_a = load_checkpoint((full / "ckpt_6.bin").read_bytes())
+    pop_b, _, recs_b = load_checkpoint((out / "ckpt_6.bin").read_bytes())
+    assert [a.to_obj() for a in pop_a.agents] == [a.to_obj() for a in pop_b.agents]
+    timeless = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)
+    assert [timeless(r) for r in recs_a] == [timeless(r) for r in recs_b]
+
+
+def test_ctrl_c_with_pool_workers_is_one_error_line(tmp_path):
+    # Static CartPole at population 8 shards onto the pool when 2 cores are
+    # usable; Ctrl-C goes to the whole process group, workers included.
+    env = dict(os.environ, PYTHONPATH=str(Path(dynevo.__file__).parents[1]))
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dynevo.cli", "evolve", "--task", "CartPole-v1",
+         "--mode", "static", "--pop", "8", "--gens", "100000", "--workers", "2",
+         "--checkpoint-every", "1", "--out", str(out)],
+        env=env, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not (out / "ckpt_2.bin").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].startswith("error: interrupted at generation ")
+    assert not list(out.glob(".*.tmp"))
+
+
+def test_interrupted_test_command_is_error_line(resumable, monkeypatch):
+    from dynevo import cli
+
+    def interrupted(pop, spec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "test_elite", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["test", str(resumable)])
+    assert str(exc.value) == "error: interrupted"
+
+
+def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    real_write_bytes = Path.write_bytes
+
+    def interrupt_ckpt_2(self, data):
+        if "ckpt_2" not in self.name:
+            return real_write_bytes(self, data)
+        real_write_bytes(self, data[: len(data) // 2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_bytes", interrupt_ckpt_2)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(out, pop=4, gens=3, extra=["--checkpoint-every", "1"]))
+    monkeypatch.undo()
+    assert str(exc.value) == (
+        f"error: interrupted at generation 2; last checkpoint {out / 'ckpt_1.bin'}"
+    )
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ckpt_1.bin", "manifest.json", "metrics.csv",
+    ]
+    load_checkpoint((out / "ckpt_1.bin").read_bytes())
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
-    from dynevo import evolution as ev
+    from dynevo import cli
 
     out = tmp_path / "run"
     run_cli(evolve_args(out, pop=4, gens=1))
@@ -347,8 +520,8 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
-    with pytest.raises(RuntimeError, match="checkpoint write failed"):
-        ev._write_checkpoint(out, pop, cfg, records)
+    with pytest.raises(SystemExit, match="checkpoint write failed"):
+        cli._save_ckpt(out, pop, cfg, records)
     monkeypatch.undo()
     assert ckpt.read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == [
@@ -366,12 +539,12 @@ def test_out_under_regular_file_is_error_line(tmp_path):
 
 
 def test_failed_checkpoint_write_is_error_line(tmp_path, monkeypatch):
-    from dynevo import evolution as ev
+    from dynevo import cli
 
     def no_space(path, data):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(ev, "write_atomic", no_space)
+    monkeypatch.setattr(cli, "write_atomic", no_space)
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
         run_cli(evolve_args(out, pop=4, gens=2, extra=["--checkpoint-every", "1"]))

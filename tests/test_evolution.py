@@ -368,32 +368,6 @@ def test_resume_equivalence():
     ]
 
 
-@pytest.mark.parametrize("gens,every,stop_at,expected", [
-    (3, 1, None, [1, 2, 3]),   # last generation is a checkpoint multiple
-    (5, 2, 2, [2]),            # on_generation stops on a multiple
-    (5, 2, None, [2, 4, 5]),   # final checkpoint off the schedule
-])
-def test_each_checkpoint_saved_once(
-    tmp_path, monkeypatch, gens, every, stop_at, expected
-):
-    import dynevo.evolution as ev
-
-    saved = []
-
-    def counting_save(pop, cfg, records):
-        saved.append(pop.generation)
-        return save_checkpoint(pop, cfg, records)
-
-    monkeypatch.setattr(ev, "save_checkpoint", counting_save)
-    cfg = small_cfg(population_size=4, generations=gens, checkpoint_every=every)
-    run_evolution(cfg, out_dir=tmp_path,
-                  on_generation=lambda pop, record: pop.generation != stop_at)
-    assert saved == expected
-    assert sorted(p.name for p in tmp_path.glob("ckpt_*.bin")) == sorted(
-        f"ckpt_{g}.bin" for g in expected
-    )
-
-
 def test_record_csv_header_schema():
     assert RunRecord.CSV_HEADER == (
         "generation,best_fitness,mean_fitness,median_fitness,"
