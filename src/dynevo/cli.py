@@ -242,10 +242,10 @@ def cmd_export_dot(args) -> int:
         if data.startswith(CHECKPOINT_MAGIC):
             pop, _cfg, _records = load_checkpoint(data)
             if args.slot is not None:
-                agents = [a for a in pop.agents if a.slot == args.slot]
-                if not agents:
-                    raise SystemExit(f"error: no agent in slot {args.slot}")
-                genome = agents[0].genome
+                if not 0 <= args.slot < len(pop.agents):
+                    raise SystemExit(f"error: no agent in slot {args.slot}; slots are "
+                                     f"0 .. {len(pop.agents) - 1}")
+                genome = pop.agents[args.slot].genome
             else:
                 genome = elite_of(pop).genome
         else:

@@ -78,8 +78,8 @@ class EvolutionConfig:
             raise ValueError("generations must be >= 0")
         if self.mode not in ("dynamic", "static"):
             raise ValueError("mode must be 'dynamic' or 'static'")
-        if self.perturb_sigma <= 0 or self.init_sigma <= 0:
-            raise ValueError("sigmas must be positive")
+        if not (0 < self.perturb_sigma < math.inf and 0 < self.init_sigma < math.inf):
+            raise ValueError("sigmas must be positive and finite")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.checkpoint_every < 0:
@@ -88,15 +88,15 @@ class EvolutionConfig:
 
 @dataclass
 class Agent:
+    """One member of a population; its slot is its position in ``Population.agents``."""
+
     genome: DynamicNet
     standardizer: RunningStandardizer
     fitness: float = math.nan
-    slot: int = 0
 
     def to_obj(self) -> dict:
-        """Plain-dict form: a checkpoint's per-agent record."""
+        """Plain-dict form: a checkpoint's per-agent record, less the slot."""
         return {
-            "slot": self.slot,
             "fitness": None if math.isnan(self.fitness) else self.fitness,
             "genome": self.genome.to_obj(),
             "standardizer": _standardizer_to_obj(self.standardizer),
@@ -108,19 +108,19 @@ class Agent:
             DynamicNet.from_obj(obj["genome"]),
             _standardizer_from_obj(obj["standardizer"]),
             math.nan if obj["fitness"] is None else float(obj["fitness"]),
-            int(obj["slot"]),
         )
 
     def clone(self) -> "Agent":
         """Independent copy: the genome and standardizer share no list."""
-        return Agent(self.genome.copy(), self.standardizer.copy(), self.fitness, self.slot)
+        return Agent(self.genome.copy(), self.standardizer.copy(), self.fitness)
 
 
 @dataclass
 class Population:
+    """Agents in slot order (slot ``i`` is ``agents[i]``); the seed is the config's."""
+
     agents: list
     generation: int
-    master_seed: int
 
 
 @dataclass
@@ -155,23 +155,21 @@ def init_population(cfg: EvolutionConfig, spec: EnvSpec) -> Population:
     cfg.validate()
     build = netgraph.new_minimal if cfg.mode == "dynamic" else netgraph.build_static
     genome = build(spec.obs_dim, spec.action_space.arity)
-    agents = [
-        Agent(genome.copy(), RunningStandardizer(spec.obs_dim), slot=i)
-        for i in range(cfg.population_size)
-    ]
-    return Population(agents, 0, cfg.master_seed)
+    agents = [Agent(genome.copy(), RunningStandardizer(spec.obs_dim))
+              for _ in range(cfg.population_size)]
+    return Population(agents, 0)
 
 
 def variation(pop: Population, cfg: EvolutionConfig) -> None:
     g = pop.generation
-    for agent in pop.agents:
+    for slot, agent in enumerate(pop.agents):
         agent.genome.perturb_parameters(
-            derive_stream(pop.master_seed, g, agent.slot, PURPOSE_PERTURB),
+            derive_stream(cfg.master_seed, g, slot, PURPOSE_PERTURB),
             cfg.perturb_sigma,
         )
         if cfg.mode == "dynamic":
             agent.genome.mutate(
-                derive_stream(pop.master_seed, g, agent.slot, PURPOSE_MUTATE),
+                derive_stream(cfg.master_seed, g, slot, PURPOSE_MUTATE),
                 cfg.init_sigma,
             )
 
@@ -231,7 +229,8 @@ def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) ->
     seeds = episode_seeds_for(g, spec)
     n = len(pop.agents)
     k = shard_count([a.genome for a in pop.agents], cfg.workers) if pool is not None else 1
-    shards = [pop.agents[i * n // k : (i + 1) * n // k] for i in range(k)]
+    starts = [i * n // k for i in range(k + 1)]
+    shards = [pop.agents[a:b] for a, b in zip(starts, starts[1:])]
     payloads = [
         ([a.genome for a in shard], [a.standardizer for a in shard], cfg.task, seeds)
         for shard in shards
@@ -240,19 +239,19 @@ def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) ->
         jobs = [lambda: _evaluate_one(payloads[0])]
     else:
         jobs = [pool.submit(_evaluate_one, payload).result for payload in payloads]
-    for shard, job in zip(shards, jobs):
+    for start, shard, job in zip(starts, shards, jobs):
         try:
             fitnesses, standardizers = job()
         except Exception as exc:
             raise RuntimeError(
-                f"generation {g}: scoring slots {shard[0].slot}-{shard[-1].slot} "
+                f"generation {g}: scoring slots {start}-{start + len(shard) - 1} "
                 f"failed: {type(exc).__name__}: {exc}"
             ) from exc
-        for agent, fitness, standardizer in zip(shard, fitnesses, standardizers):
+        for slot, agent, fitness, standardizer in zip(range(start, n), shard, fitnesses,
+                                                      standardizers):
             if not math.isfinite(fitness):
                 raise RuntimeError(
-                    f"generation {g}: non-finite fitness {fitness} for agent slot "
-                    f"{agent.slot}"
+                    f"generation {g}: non-finite fitness {fitness} for agent slot {slot}"
                 )
             agent.fitness = fitness
             agent.standardizer = standardizer
@@ -260,18 +259,15 @@ def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) ->
 
 def select(pop: Population) -> None:
     """Keep the top half (ties: lower slot), duplicate it, advance a generation."""
-    order = sorted(
-        pop.agents, key=lambda a: (-a.fitness, a.slot)
-    )
+    order = sorted(pop.agents, key=lambda a: -a.fitness)  # stable: ties keep slot order
     survivors = order[: len(pop.agents) // 2]
     pop.agents = survivors + [a.clone() for a in survivors]
-    for i, agent in enumerate(pop.agents):
-        agent.slot = i
     pop.generation += 1
 
 
 def elite_of(pop: Population) -> Agent:
-    return min(pop.agents, key=lambda a: (-a.fitness, a.slot))
+    """The fittest agent; the first, so the lowest slot, among equals."""
+    return max(pop.agents, key=lambda a: a.fitness)
 
 
 def _record_for(pop: Population, generation: int, elapsed: float) -> RunRecord:
@@ -387,12 +383,12 @@ def _check_agents_fit(agents, cfg: EvolutionConfig) -> None:
         raise ValueError(f"{len(agents)} agents for population_size {cfg.population_size}")
     spec = get_spec(cfg.task)
     fit = (spec.obs_dim, spec.action_space.arity, spec.obs_dim, cfg.mode == "static")
-    for agent in agents:
+    for slot, agent in enumerate(agents):
         genome = agent.genome
         found = (genome.d_input, genome.d_output, agent.standardizer.dim,
                  genome.architecture_frozen)
         if found != fit:
-            raise ValueError(f"agent in slot {agent.slot} does not fit a {cfg.mode} "
+            raise ValueError(f"agent in slot {slot} does not fit a {cfg.mode} "
                              f"{cfg.task} run")
 
 
@@ -416,19 +412,24 @@ def _gc_paused():
 
 
 def save_checkpoint(pop: Population, cfg: EvolutionConfig, records) -> bytes:
+    """Encode a run; each agent record carries its slot, and the top level the seed."""
     with _gc_paused():
         obj = {
             "config": asdict(cfg),
             "generation": pop.generation,
-            "master_seed": pop.master_seed,
-            "agents": [a.to_obj() for a in pop.agents],
+            "master_seed": cfg.master_seed,
+            "agents": [{"slot": i, **a.to_obj()} for i, a in enumerate(pop.agents)],
             "records": [asdict(r) for r in records],
         }
         return netgraph.encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, obj)
 
 
 def load_checkpoint(data: bytes):
-    """Decode checkpoint bytes into ``(population, config, records)``."""
+    """Decode checkpoint bytes into ``(population, config, records)``.
+
+    The file's top-level seed must be its config's, each agent record's slot
+    its position, and its records the generations ``0 .. generation - 1``.
+    """
     with _gc_paused():
         obj = netgraph.decode_framed(
             data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointFormatError, "checkpoint"
@@ -436,10 +437,18 @@ def load_checkpoint(data: bytes):
         try:
             cfg = EvolutionConfig(**obj["config"])
             cfg.validate()
+            if obj["master_seed"] != cfg.master_seed:
+                raise ValueError(f"master_seed {obj['master_seed']!r} differs from the "
+                                 f"config's {cfg.master_seed}")
+            for i, rec in enumerate(obj["agents"]):
+                if rec["slot"] != i:
+                    raise ValueError(f"agent record {i} names slot {rec['slot']!r}")
             agents = [Agent.from_obj(rec) for rec in obj["agents"]]
             _check_agents_fit(agents, cfg)
-            pop = Population(agents, int(obj["generation"]), int(obj["master_seed"]))
+            pop = Population(agents, int(obj["generation"]))
             records = [RunRecord(**r) for r in obj["records"]]
+            if pop.generation < 0 or [r.generation for r in records] != list(range(pop.generation)):
+                raise ValueError(f"records are not generations 0 .. {pop.generation - 1}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointFormatError(f"corrupt checkpoint: {exc}") from exc
     return pop, cfg, records

@@ -4,7 +4,8 @@ A genome is a directed layered graph. Input nodes sit in layer 0, output
 nodes in the last layer, and hidden nodes grow in between through four
 elementary mutations: grow/prune connection and grow/prune node. Every
 non-input node computes ``relu(bias + sum(w_i * x_i))`` over its ordered
-in-connections. A connection headed to a strictly higher layer is consumed
+inputs, a ``{src: weight}`` dict that is the one store of every edge and
+its weight. A connection headed to a strictly higher layer is consumed
 within the same forward pass; a connection to the same or a lower layer
 (including self-loops) delivers the source's activation from the previous
 pass.
@@ -70,19 +71,21 @@ def decode_framed(data: bytes, magic: bytes, version: int, error: type, what: st
 
 
 class Node:
-    __slots__ = ("id", "kind", "layer", "bias", "in_ids", "out_ids")
+    """``inputs`` maps each source id to its edge's weight, in summation order."""
+
+    __slots__ = ("id", "kind", "layer", "bias", "inputs", "out_ids")
 
     def __init__(self, nid: int, kind: str, layer: int, bias: float = 0.0):
         self.id = nid
         self.kind = kind
         self.layer = layer
         self.bias = bias
-        self.in_ids: list[int] = []   # ordered; defines summation order
+        self.inputs: dict[int, float] = {}
         self.out_ids: list[int] = []
 
     def copy(self) -> "Node":
         node = Node(self.id, self.kind, self.layer, self.bias)
-        node.in_ids = self.in_ids.copy()
+        node.inputs = self.inputs.copy()
         node.out_ids = self.out_ids.copy()
         return node
 
@@ -111,7 +114,7 @@ class PassState:
 
     Each layer runs as one ``np.bincount`` over its edges. A node's bias
     comes first, as an edge from the constant-one slot (``0 + b*1 == b``),
-    followed by its ``in_ids`` in order; ``bincount`` accumulates in input
+    followed by its ``inputs`` in order; ``bincount`` accumulates in input
     order, so every sum is formed exactly as ``bias + w_1*x_1 + ...``. An
     edge reads ``prev`` when its source sits in the same or a higher layer
     of its genome, and ``cur`` otherwise (a lower layer, already computed).
@@ -195,14 +198,14 @@ def _compile(net: DynamicNet):
     slot_of = {nid: nid for nid in net.input_ids}
     slot_of.update((node.id, d_in + k) for k, node in enumerate(order))
     one = d_in + len(order)
-    weights = net.weights
     src, w, fan_in = [], [], []
     for node in order:
+        inputs = node.inputs
         src.append(one)
-        src += [slot_of[s] for s in node.in_ids]
+        src += [slot_of[s] for s in inputs]
         w.append(node.bias)
-        w += [weights[(s, node.id)] for s in node.in_ids]
-        fan_in.append(len(node.in_ids) + 1)
+        w += inputs.values()
+        fan_in.append(len(inputs) + 1)
     return (
         np.array([node.layer for node in order], dtype=np.intp),
         np.array(src, dtype=np.intp),
@@ -221,7 +224,6 @@ class DynamicNet:
         self.d_input = d_input
         self.d_output = d_output
         self.nodes: dict[int, Node] = {}
-        self.weights: dict[tuple[int, int], float] = {}
         self.layer_count = 2
         self.architecture_frozen = False
         self.next_id = 0
@@ -256,27 +258,21 @@ class DynamicNet:
         return sorted(n.id for n in self.nodes.values() if n.kind != INPUT)
 
     def connection_count(self) -> int:
-        return len(self.weights)
+        return sum(len(n.inputs) for n in self.nodes.values())
 
     def node_count(self) -> int:
         return len(self.nodes)
 
     def param_count(self) -> int:
         """One weight per connection plus one bias per non-input node."""
-        return len(self.weights) + sum(
-            1 for n in self.nodes.values() if n.kind != INPUT
-        )
+        return sum(len(n.inputs) + 1 for n in self.nodes.values() if n.kind != INPUT)
 
     # ------------------------------------------------------------------
     # sampling sets
 
     def receiving_nodes(self) -> list[int]:
         """All input nodes plus every hidden/output node with in-nodes."""
-        return sorted(
-            n.id
-            for n in self.nodes.values()
-            if n.kind == INPUT or n.in_ids
-        )
+        return sorted(n.id for n in self.nodes.values() if n.kind == INPUT or n.inputs)
 
     def emitting_list(self) -> list[tuple[int, int]]:
         """One ``(src, dst)`` entry per connection, in deterministic order.
@@ -284,32 +280,27 @@ class DynamicNet:
         A node appears once per out-node it possesses, so uniform sampling
         over this list is uniform over connections.
         """
-        out = []
-        for nid in sorted(self.nodes):
-            for dst in self.nodes[nid].out_ids:
-                out.append((nid, dst))
-        return out
+        return [(nid, dst) for nid in sorted(self.nodes) for dst in self.nodes[nid].out_ids]
 
     # ------------------------------------------------------------------
     # edge primitives
 
     def _add_connection(self, src: int, dst: int, weight: float) -> None:
-        if (src, dst) in self.weights:
+        target = self.nodes[dst]
+        if src in target.inputs:
             raise ValueError(f"duplicate connection {src}->{dst}")
-        if self.nodes[dst].kind == INPUT:
+        if target.kind == INPUT:
             raise ValueError("input nodes cannot receive connections")
-        self.weights[(src, dst)] = weight
-        self.nodes[dst].in_ids.append(src)
+        target.inputs[src] = weight
         self.nodes[src].out_ids.append(dst)
 
     def _remove_connection(self, src: int, dst: int) -> None:
-        del self.weights[(src, dst)]
-        self.nodes[dst].in_ids.remove(src)
+        del self.nodes[dst].inputs[src]
         self.nodes[src].out_ids.remove(dst)
 
     def _remove_node(self, nid: int) -> None:
         node = self.nodes[nid]
-        for src in list(node.in_ids):
+        for src in list(node.inputs):
             self._remove_connection(src, nid)
         for dst in list(node.out_ids):
             self._remove_connection(nid, dst)
@@ -346,7 +337,7 @@ class DynamicNet:
         for _ in range(GROW_CONNECTION_ATTEMPTS):
             src = recv[rng.randrange(len(recv))]
             dst = targets[rng.randrange(len(targets))]
-            if (src, dst) not in self.weights:
+            if src not in self.nodes[dst].inputs:
                 self._add_connection(src, dst, init_sigma * rng.normal())
                 return MutationOutcome("grow_connection", True, {"src": src, "dst": dst})
         return MutationOutcome("grow_connection", False)
@@ -403,7 +394,7 @@ class DynamicNet:
 
         node = self._new_node(HIDDEN, target, bias=init_sigma * rng.normal())
         for src, dst in ((first, node.id), (second, node.id), (node.id, third)):
-            if (src, dst) not in self.weights:
+            if src not in self.nodes[dst].inputs:
                 self._add_connection(src, dst, init_sigma * rng.normal())
         return MutationOutcome(
             "grow_node", True,
@@ -432,11 +423,8 @@ class DynamicNet:
         """
         removed = 0
         while True:
-            dead = [
-                n.id
-                for n in self.nodes.values()
-                if n.kind == HIDDEN and (not n.in_ids or not n.out_ids)
-            ]
+            dead = [n.id for n in self.nodes.values()
+                    if n.kind == HIDDEN and (not n.inputs or not n.out_ids)]
             if not dead:
                 break
             for nid in dead:
@@ -448,7 +436,7 @@ class DynamicNet:
 
     def applicable_mutations(self) -> list[str]:
         out = ["grow_connection"]
-        if self.weights:
+        if any(n.inputs for n in self.nodes.values()):
             out.append("prune_connection")
         if len(self.receiving_nodes()) >= 2:
             out.append("grow_node")
@@ -480,8 +468,8 @@ class DynamicNet:
         """Add an independent N(0, sigma^2) draw to every weight and bias.
 
         Draw order is fixed: nodes in ascending id; for each non-input
-        node its bias first, then its in-connection weights in list
-        order. Exactly ``param_count()`` normals are consumed.
+        node its bias first, then its input weights in order. Exactly
+        ``param_count()`` normals are consumed.
         """
         deltas = rng.normal_array(self.param_count())
         i = 0
@@ -489,11 +477,11 @@ class DynamicNet:
             node = self.nodes[nid]
             if node.kind == INPUT:
                 continue
+            inputs = node.inputs
             node.bias += sigma * deltas[i]
-            i += 1
-            for src in node.in_ids:
-                self.weights[(src, nid)] += sigma * deltas[i]
-                i += 1
+            for src, delta in zip(inputs, deltas[i + 1 : i + 1 + len(inputs)]):
+                inputs[src] += sigma * delta
+            i += 1 + len(inputs)
 
     # ------------------------------------------------------------------
     # forward pass
@@ -524,7 +512,7 @@ class DynamicNet:
         Linear in nodes plus connections. Every check raises explicitly,
         so ``python -O`` keeps them.
         """
-        nodes, weights, last = self.nodes, self.weights, self.layer_count - 1
+        nodes, last = self.nodes, self.layer_count - 1
         if self.d_input < 1 or self.d_output < 1 or last < 1:
             raise AssertionError("bad dimensions or layer count")
         ids = {INPUT: [], HIDDEN: [], OUTPUT: []}
@@ -544,31 +532,29 @@ class DynamicNet:
             raise AssertionError("empty or out-of-range layer")
         fan_in = fan_out = 0
         for n in nodes.values():
-            nid, in_ids, out_ids = n.id, n.in_ids, n.out_ids
+            nid, inputs, out_ids = n.id, n.inputs, n.out_ids
             if n.kind == INPUT:
-                if n.layer != 0 or in_ids:
+                if n.layer != 0 or inputs:
                     raise AssertionError(f"input {nid} outside layer 0 or fed")
             elif n.kind == OUTPUT:
                 if n.layer != last:
                     raise AssertionError(f"output {nid} not in the last layer")
             elif not 0 < n.layer < last:
                 raise AssertionError(f"hidden {nid} outside the hidden layers")
-            elif not (in_ids and out_ids):
+            elif not (inputs and out_ids):
                 raise AssertionError(f"dead hidden node {nid}")
-            if len(set(in_ids)) != len(in_ids) or len(set(out_ids)) != len(out_ids):
-                raise AssertionError(f"node {nid} lists a connection twice")
-            for src in in_ids:
-                if (src, nid) not in weights:
-                    raise AssertionError(f"connection {src}->{nid} has no weight")
+            if len(set(out_ids)) != len(out_ids):
+                raise AssertionError(f"node {nid} lists an out-connection twice")
             for dst in out_ids:
-                if (nid, dst) not in weights:
-                    raise AssertionError(f"connection {nid}->{dst} has no weight")
-            fan_in += len(in_ids)
+                target = nodes.get(dst)
+                if target is None or nid not in target.inputs:
+                    raise AssertionError(f"connection {nid}->{dst} is not an input of {dst}")
+            fan_in += len(inputs)
             fan_out += len(out_ids)
-        # Distinct listed edges, all weighted, as many as the weights: the
-        # in-lists, the out-lists and the weights hold one edge set.
-        if not fan_in == len(weights) == fan_out:
-            raise AssertionError("edge collections disagree")
+        # Every distinct out-listed edge is an input, and there are as many
+        # inputs: the out-lists and the inputs hold one edge set.
+        if fan_in != fan_out:
+            raise AssertionError("inputs and out-connections disagree")
 
     # ------------------------------------------------------------------
     # serialization
@@ -579,8 +565,8 @@ class DynamicNet:
         Connections are listed in emitting order (see :meth:`emitting_list`),
         so ``from_obj`` rebuilds every ``out_ids`` order exactly.
         """
-        nodes = [self.nodes[nid] for nid in sorted(self.nodes)]
-        weights = self.weights
+        by_id = self.nodes
+        nodes = [by_id[nid] for nid in sorted(by_id)]
         return {
             "d_input": self.d_input,
             "d_output": self.d_output,
@@ -589,11 +575,11 @@ class DynamicNet:
             "next_id": self.next_id,
             "nodes": [
                 {"id": n.id, "kind": n.kind, "layer": n.layer, "bias": n.bias,
-                 "in": list(n.in_ids)}
+                 "in": list(n.inputs)}
                 for n in nodes
             ],
             "connections": [
-                [n.id, dst, weights[(n.id, dst)]] for n in nodes for dst in n.out_ids
+                [n.id, dst, by_id[dst].inputs[n.id]] for n in nodes for dst in n.out_ids
             ],
         }
 
@@ -608,11 +594,13 @@ class DynamicNet:
             net.architecture_frozen = bool(obj["architecture_frozen"])
             net.next_id = int(obj["next_id"])
             net.nodes = {}
-            net.weights = {}
             for rec in obj["nodes"]:
                 node = Node(int(rec["id"]), str(rec["kind"]), int(rec["layer"]),
                             float(rec["bias"]))
-                node.in_ids = [int(x) for x in rec["in"]]
+                sources = [int(x) for x in rec["in"]]
+                node.inputs = dict.fromkeys(sources)  # weights come with the connections
+                if len(node.inputs) != len(sources):
+                    raise ValueError(f"node {node.id} lists an input twice")
                 net.nodes[node.id] = node
             if len(net.nodes) != len(obj["nodes"]):
                 raise ValueError("duplicate node id")
@@ -620,8 +608,11 @@ class DynamicNet:
             # emitting order (and thus prune sampling) round-trips exactly.
             for s, d, w in obj["connections"]:
                 s, d = int(s), int(d)
+                inputs = net.nodes[d].inputs
+                if s not in inputs:
+                    raise ValueError(f"connection {s}->{d} is not an input of {d}")
+                inputs[s] = float(w)
                 net.nodes[s].out_ids.append(d)
-                net.weights[(s, d)] = float(w)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GenomeFormatError(f"malformed genome object: {exc}") from exc
         try:
@@ -635,7 +626,6 @@ class DynamicNet:
         net = DynamicNet.__new__(DynamicNet)
         net.__dict__.update(self.__dict__)
         net.nodes = {nid: node.copy() for nid, node in self.nodes.items()}
-        net.weights = dict(self.weights)
         return net
 
     def serialize(self) -> bytes:
@@ -655,9 +645,7 @@ class DynamicNet:
         lines = ["digraph dynamic_net {", "  rankdir=LR;",
                  "  node [shape=circle];"]
         for layer in range(self.layer_count):
-            members = sorted(
-                n.id for n in self.nodes.values() if n.layer == layer
-            )
+            members = sorted(n.id for n in self.nodes.values() if n.layer == layer)
             decls = []
             for nid in members:
                 kind = self.nodes[nid].kind
@@ -665,7 +653,7 @@ class DynamicNet:
                 attr = f" [shape={shape}]" if shape else ""
                 decls.append(f"n{nid}{attr};")
             lines.append("  { rank=same; " + " ".join(decls) + " }")
-        for src, dst in sorted(self.weights):
+        for src, dst in sorted((s, n.id) for n in self.nodes.values() for s in n.inputs):
             recurrent = self.nodes[src].layer >= self.nodes[dst].layer
             style = " [style=dashed]" if recurrent else ""
             lines.append(f"  n{src} -> n{dst}{style};")

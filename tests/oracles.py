@@ -28,6 +28,11 @@ class ScriptedRng:
         return [self.normal() for _ in range(n)]
 
 
+def edge_weights(net: DynamicNet) -> dict:
+    """Every connection as ``{(src, dst): weight}``, read from the nodes' inputs."""
+    return {(src, n.id): w for n in net.nodes.values() for src, w in n.inputs.items()}
+
+
 def naive_forward(net: DynamicNet, prev: dict, inputs):
     """Two-buffer reference interpreter.
 
@@ -43,8 +48,7 @@ def naive_forward(net: DynamicNet, prev: dict, inputs):
     )
     for node in order:
         acc = node.bias
-        for src in node.in_ids:
-            w = net.weights[(src, node.id)]
+        for src, w in node.inputs.items():
             if net.nodes[src].layer < node.layer:
                 acc += w * cur[src]
             else:
@@ -67,21 +71,18 @@ def naive_rollout(net: DynamicNet, input_seqs):
 def audit(net: DynamicNet):
     """From-scratch structural audit; returns a list of violations."""
     problems = []
-    edge_set = set(net.weights)
-    # mutual consistency of in/out lists with the weight table
+    weights = edge_weights(net)
+    # mutual consistency of the out-lists with the inputs
     for n in net.nodes.values():
-        for src in n.in_ids:
-            if (src, n.id) not in edge_set:
-                problems.append(f"in-list edge {src}->{n.id} missing weight")
         for dst in n.out_ids:
-            if (n.id, dst) not in edge_set:
-                problems.append(f"out-list edge {n.id}->{dst} missing weight")
-    for s, d in edge_set:
-        if s not in net.nodes or d not in net.nodes:
-            problems.append(f"weight {s}->{d} references missing node")
+            if (n.id, dst) not in weights:
+                problems.append(f"out-list edge {n.id}->{dst} missing from the inputs")
+    for (s, d), w in weights.items():
+        if not isinstance(w, float):
+            problems.append(f"edge {s}->{d} has weight {w!r}")
+        if s not in net.nodes:
+            problems.append(f"input {s}->{d} references a missing node")
             continue
-        if net.nodes[d].in_ids.count(s) != 1:
-            problems.append(f"edge {s}->{d} not exactly once in dst in-list")
         if net.nodes[s].out_ids.count(d) != 1:
             problems.append(f"edge {s}->{d} not exactly once in src out-list")
         if net.nodes[d].kind == INPUT:
@@ -98,7 +99,7 @@ def audit(net: DynamicNet):
         if n.kind == HIDDEN:
             if not (0 < n.layer < net.layer_count - 1):
                 problems.append(f"hidden {n.id} in layer {n.layer}")
-            if not n.in_ids or not n.out_ids:
+            if not n.inputs or not n.out_ids:
                 problems.append(f"hidden {n.id} lacks in or out connections")
     kinds = [n.kind for n in net.nodes.values()]
     if kinds.count(INPUT) != net.d_input or kinds.count("output") != net.d_output:
@@ -113,7 +114,7 @@ def cleanup_fixpoint_oracle(net: DynamicNet):
     either side of connectivity are deleted round by round.
     """
     alive = {n.id for n in net.nodes.values()}
-    edges = set(net.weights)
+    edges = set(edge_weights(net))
     hidden = {n.id for n in net.nodes.values() if n.kind == HIDDEN}
     while True:
         ins = {nid: 0 for nid in alive}

@@ -31,7 +31,7 @@ from dynevo.evolution import (
 )
 from dynevo.rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
-from oracles import naive_forward
+from oracles import edge_weights, naive_forward
 from reference_envs import REF_ENVS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -105,8 +105,8 @@ def _recurrent(d_in, d_out):
 
 def _huge(d_in, d_out, seed):
     net = _grown(d_in, d_out, seed, 8)
-    for i, key in enumerate(sorted(net.weights)):
-        net.weights[key] = 1e300 if i % 2 == 0 else -1e300
+    for i, (src, dst) in enumerate(sorted(edge_weights(net))):
+        net.nodes[dst].inputs[src] = 1e300 if i % 2 == 0 else -1e300
     return net
 
 

@@ -104,6 +104,18 @@ def test_config_value_wrong_type_is_error_line(tmp_path):
     assert str(exc.value).startswith("error: population_size must be an integer")
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("key", ["perturb_sigma", "init_sigma"])
+def test_config_non_finite_sigma_is_error_line(tmp_path, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"task": "CartPole-v1", "pop": 4, "gens": 2, "workers": 1, '
+                        f'"{key}": {value}}}')
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert str(exc.value) == "error: sigmas must be positive and finite"
+    assert not (tmp_path / "o").exists()
+
+
 def test_workers_env_not_integer_is_error_line(tmp_path, monkeypatch):
     monkeypatch.setenv("DYNEVO_WORKERS", "abc")
     with pytest.raises(SystemExit) as exc:
@@ -260,6 +272,45 @@ def test_resume_from_checkpoint_with_wrong_config_type_is_error_line(tmp_path, r
         run_cli(["evolve", "--task", "CartPole-v1", "--gens", "2",
                  "--resume", str(bad), "--out", str(tmp_path / "r")])
     assert str(exc.value).startswith("error: cannot resume: corrupt checkpoint")
+
+
+def _set_all_slots_zero(obj):
+    for rec in obj["agents"]:
+        rec["slot"] = 0
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda obj: obj.update(master_seed=99), "master_seed 99 differs from the config's 3"),
+    (_set_all_slots_zero, "agent record 1 names slot 0"),
+    (lambda obj: obj.update(generation=0), "records are not generations 0 .. -1"),
+], ids=["seed", "slots", "records"])
+def test_resume_of_checkpoint_with_disagreeing_copy_is_error_line(
+    tmp_path, resumable, edit, reason
+):
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(resumable.read_bytes(), *frame, CheckpointFormatError, "checkpoint")
+    edit(obj)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_framed(*frame, obj))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--gens", "2", "--workers", "1", "--resume", str(bad),
+                 "--out", str(tmp_path / "r")])
+    assert str(exc.value) == f"error: cannot resume: corrupt checkpoint: {reason}"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("slot", ["-1", "4"])
+def test_export_dot_slot_out_of_range_is_error_line(tmp_path, resumable, slot):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["export-dot", str(resumable), str(tmp_path / "o.dot"), "--slot", slot])
+    assert str(exc.value) == f"error: no agent in slot {slot}; slots are 0 .. 3"
+    assert not (tmp_path / "o.dot").exists()
+
+
+def test_export_dot_slot_is_a_position(tmp_path, resumable):
+    pop, _cfg, _records = load_checkpoint(resumable.read_bytes())
+    assert run_cli(["export-dot", str(resumable), str(tmp_path / "o.dot"), "--slot", "2"]) == 0
+    assert (tmp_path / "o.dot").read_text() == pop.agents[2].genome.to_dot()
 
 
 def _reading_commands(ckpt, tmp_path):

@@ -29,6 +29,8 @@ from dynevo.evolution import (
 from dynevo.netgraph import decode_framed, encode_framed
 from dynevo.rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
+from oracles import edge_weights
+
 
 def small_cfg(**kw):
     base = dict(
@@ -65,6 +67,13 @@ def test_config_validation_rejects_wrong_types(field, value):
         small_cfg(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field", ["perturb_sigma", "init_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_config_validation_rejects_sigma_outside_zero_to_inf(field, value):
+    with pytest.raises(ValueError, match="sigmas must be positive and finite"):
+        small_cfg(**{field: value}).validate()
+
+
 def test_init_population_dynamic():
     cfg = small_cfg(population_size=4)
     pop = init_population(cfg, get_spec(cfg.task))
@@ -79,7 +88,7 @@ def test_init_population_static():
     pop = init_population(cfg, get_spec(cfg.task))
     for agent in pop.agents:
         assert agent.genome.param_count() == 7902
-        assert all(w == 0.0 for w in agent.genome.weights.values())
+        assert all(w == 0.0 for w in edge_weights(agent.genome).values())
 
 
 def test_init_deterministic():
@@ -110,7 +119,7 @@ def test_variation_static_keeps_architecture():
     variation(pop, cfg)
     for agent in pop.agents:
         assert agent.genome.connection_count() == before
-        assert any(w != 0.0 for w in agent.genome.weights.values())
+        assert any(w != 0.0 for w in edge_weights(agent.genome).values())
 
 
 def test_variation_dynamic_one_mutation_each():
@@ -149,7 +158,6 @@ def test_select_rank_and_duplicate():
     ids = [id(a.genome) for a in pop.agents]
     select(pop)
     assert [a.fitness for a in pop.agents] == [4.0, 3.0, 4.0, 3.0]
-    assert [a.slot for a in pop.agents] == [0, 1, 2, 3]
     assert pop.generation == 1
     # copies are deep: genomes of slots 2,3 are new objects
     assert id(pop.agents[2].genome) not in ids
@@ -161,10 +169,10 @@ def test_select_tie_break_lowest_slot():
     pop = init_population(cfg, get_spec(cfg.task))
     for agent in pop.agents:
         agent.fitness = 1.0
-    survivors = {0, 1}
-    orig = {a.slot: a for a in pop.agents}
+    orig = list(pop.agents)
     select(pop)
     assert pop.agents[0] is orig[0] and pop.agents[1] is orig[1]
+    assert elite_of(pop) is pop.agents[0]
 
 
 def test_duplicates_diverge_after_variation():
@@ -177,9 +185,8 @@ def test_duplicates_diverge_after_variation():
     survivor, clone = pop.agents[0], pop.agents[2]
     assert clone.genome.to_obj() == survivor.genome.to_obj()
     assert list(clone.genome.nodes) == list(survivor.genome.nodes)
-    assert clone.genome.weights is not survivor.genome.weights
     for nid, node in survivor.genome.nodes.items():
-        assert clone.genome.nodes[nid].in_ids is not node.in_ids
+        assert clone.genome.nodes[nid].inputs is not node.inputs
         assert clone.genome.nodes[nid].out_ids is not node.out_ids
     assert clone.standardizer.__dict__ == survivor.standardizer.__dict__
     assert clone.standardizer.mean is not survivor.standardizer.mean
@@ -319,6 +326,45 @@ def test_checkpoint_rejects_corruption():
         load_checkpoint(b"something else entirely")
     with pytest.raises(CheckpointFormatError):  # nested past the recursion limit
         load_checkpoint(b"DYNEVO-CKPT\x01\x00\x00\x00" + b"[" * 100_000)
+
+
+def _other_seed(obj):
+    obj["master_seed"] = 99
+
+
+def _slots_all_zero(obj):
+    for rec in obj["agents"]:
+        rec["slot"] = 0
+
+
+def _generation_behind_records(obj):
+    obj["generation"] = 1
+
+
+def _record_repeated(obj):
+    obj["records"][1] = dict(obj["records"][0])
+
+
+def _negative_generation(obj):
+    obj["generation"], obj["records"] = -1, []
+
+
+@pytest.mark.parametrize("edit", [
+    _other_seed, _slots_all_zero, _generation_behind_records, _record_repeated,
+    _negative_generation,
+])
+def test_checkpoint_rejects_a_second_copy_that_disagrees(edit):
+    """The seed, the slots and the generation are stored once; a checkpoint's
+    copies of them must agree with the config, the positions and the records."""
+    cfg = small_cfg(population_size=4, generations=2, master_seed=3)
+    pop, records = run_evolution(cfg)
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(save_checkpoint(pop, cfg, records), *frame,
+                        CheckpointFormatError, "checkpoint")
+    load_checkpoint(encode_framed(*frame, obj))
+    edit(obj)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(encode_framed(*frame, obj))
 
 
 def _relabel_task(obj):

@@ -24,8 +24,8 @@ def scenario_after_first_growth():
 
 def test_grow_connection_scenario():
     net = scenario_after_first_growth()
-    assert set(net.weights) == {(IN3, OUT2)}
-    assert net.nodes[OUT2].in_ids == [IN3]
+    assert set(net.emitting_list()) == {(IN3, OUT2)}
+    assert list(net.nodes[OUT2].inputs) == [IN3]
     net.validate()
     assert not audit(net)
 
@@ -39,7 +39,7 @@ def scenario_four_connections():
     assert net.grow_connection(ScriptedRng(indices=[0, 1])).applied  # in1->out2
     # receiving now [0,1,2,3,4]; pick out1 (index 3) -> out2
     assert net.grow_connection(ScriptedRng(indices=[3, 1])).applied  # out1->out2
-    assert set(net.weights) == {
+    assert set(net.emitting_list()) == {
         (IN3, OUT2), (IN1, OUT1), (IN1, OUT2), (OUT1, OUT2)
     }
     return net
@@ -61,7 +61,7 @@ def test_prune_connection_scenario():
     # Pick entry 0 -> first node in1; out-nodes of in1 = [3, 4]; pick out2.
     out = net.prune_connection(ScriptedRng(indices=[0, 1]))
     assert out.info["src"] == IN1 and out.info["dst"] == OUT2
-    assert set(net.weights) == {(IN3, OUT2), (IN1, OUT1), (OUT1, OUT2)}
+    assert set(net.emitting_list()) == {(IN3, OUT2), (IN1, OUT1), (OUT1, OUT2)}
     net.validate()
 
 
@@ -82,9 +82,9 @@ def test_grow_node_scenario():
     assert net.layer_count == 3
     assert net.nodes[h].layer == 1
     assert net.nodes[OUT1].layer == net.nodes[OUT2].layer == 2
-    assert (IN2, h) in net.weights          # forward
-    assert (OUT2, h) in net.weights         # recurrent (from a later layer)
-    assert (h, OUT1) in net.weights         # forward
+    assert IN2 in net.nodes[h].inputs       # forward
+    assert OUT2 in net.nodes[h].inputs      # recurrent (from a later layer)
+    assert h in net.nodes[OUT1].inputs      # forward
     assert net.connection_count() == 6
     # 6 weights + 3 biases (hidden + two outputs)
     assert net.param_count() == 9

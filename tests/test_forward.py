@@ -61,7 +61,7 @@ def test_backward_connection_uses_previous_pass():
 def test_forward_sees_edits_between_episodes():
     net = make_wire()
     assert net.forward(net.reset_state(), [2.0]) == [2.0]
-    net.weights[(0, 1)] = 3.0
+    net.nodes[1].inputs[0] = 3.0
     assert net.forward(net.reset_state(), [2.0]) == [6.0]
     net.nodes[1].bias = -1.0
     assert net.forward(net.reset_state(), [2.0]) == [5.0]

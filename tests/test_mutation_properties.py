@@ -153,7 +153,7 @@ def _param_vector(net):
         if node.kind == "input":
             continue
         out.append(node.bias)
-        out.extend(net.weights[(src, nid)] for src in node.in_ids)
+        out.extend(node.inputs.values())
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from dynevo import DynamicNet, RngStream, build_static, new_minimal
 from dynevo.netgraph import GENOME_MAGIC, GENOME_VERSION, GenomeFormatError, encode_framed
 
-from oracles import ScriptedRng
+from oracles import ScriptedRng, edge_weights
 
 
 def test_minimal_net_shape():
@@ -122,7 +122,7 @@ def test_perturb_determinism():
     b2 = DynamicNet.deserialize(a.serialize())
     a.perturb_parameters(RngStream(42), 0.1)
     b2.perturb_parameters(RngStream(42), 0.1)
-    assert a.weights == b2.weights
+    assert edge_weights(a) == edge_weights(b2)
     assert all(
         a.nodes[i].bias == b2.nodes[i].bias for i in a.nodes
     )
@@ -195,9 +195,23 @@ def _unlisted_connection(obj):
     obj["connections"].append([0, obj["d_input"], 1.0])
 
 
+def _input_listed_twice(obj):
+    """List one of the hidden node's inputs twice; a dict would keep one."""
+    hidden = next(n for n in obj["nodes"] if n["kind"] == "hidden")
+    hidden["in"].append(hidden["in"][0])
+
+
+def _input_without_connection(obj):
+    """Drop the connection record of one of the hidden node's inputs."""
+    hidden = next(n for n in obj["nodes"] if n["kind"] == "hidden")
+    edge = [hidden["in"][0], hidden["id"]]
+    obj["connections"] = [c for c in obj["connections"] if c[:2] != edge]
+
+
 @pytest.mark.parametrize("edit", [
     _dead_hidden_node, _outputs_to_layer_0, _unknown_kind, _duplicate_node,
-    _id_past_counter, _unlisted_connection,
+    _id_past_counter, _unlisted_connection, _input_listed_twice,
+    _input_without_connection,
 ])
 def test_from_obj_rejects_invalid_genome(edit):
     net = new_minimal(2, 1)
@@ -216,9 +230,9 @@ def test_copy_of_static_perturbs_alone():
     net = build_static(4, 2)
     twin = net.copy()
     twin.perturb_parameters(RngStream(3), 0.1)
-    assert all(w == 0.0 for w in net.weights.values())
+    assert all(w == 0.0 for w in edge_weights(net).values())
     assert all(n.bias == 0.0 for n in net.nodes.values())
-    assert any(w != 0.0 for w in twin.weights.values())
+    assert any(w != 0.0 for w in edge_weights(twin).values())
     assert twin.architecture_frozen and twin.param_count() == net.param_count()
 
 
@@ -267,7 +281,7 @@ def test_grow_connection_saturated_noop():
     net._add_connection(0, 1, 1.0)
     net._add_connection(1, 1, 1.0)
     assert all(
-        (s, d) in net.weights
+        s in net.nodes[d].inputs
         for s in net.receiving_nodes()
         for d in net.non_input_ids()
     )
@@ -292,8 +306,8 @@ def test_mutation_reversibility():
     rng = RngStream(11)
     for _ in range(20):
         net.mutate(rng)
-    edges_before = set(net.weights)
+    edges_before = set(net.emitting_list())
     out = net.grow_connection(RngStream(99))
     if out.applied:
         net._remove_connection(out.info["src"], out.info["dst"])
-        assert set(net.weights) == edges_before
+        assert set(net.emitting_list()) == edges_before
