@@ -128,6 +128,9 @@ def _build_config(args):
         cfg.validate()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    if resume and cfg.generations < resume[0].generation:
+        raise SystemExit(f"error: generations {cfg.generations} is below the checkpoint's "
+                         f"generation {resume[0].generation}")
     return cfg, resume
 
 
@@ -236,9 +239,6 @@ def cmd_export_dot(args) -> int:
     path = Path(args.input)
     try:
         data = path.read_bytes()
-    except OSError as exc:
-        raise SystemExit(f"error: {exc}")
-    try:
         if data.startswith(CHECKPOINT_MAGIC):
             pop, _cfg, _records = load_checkpoint(data)
             if args.slot is not None:
@@ -248,11 +248,13 @@ def cmd_export_dot(args) -> int:
                 genome = pop.agents[args.slot].genome
             else:
                 genome = elite_of(pop).genome
+        elif args.slot is not None:
+            raise SystemExit(f"error: --slot needs a checkpoint; {path} is not one")
         else:
             genome = DynamicNet.deserialize(data)
-    except (CheckpointFormatError, GenomeFormatError) as exc:
+        Path(args.output).write_text(genome.to_dot())
+    except (OSError, CheckpointFormatError, GenomeFormatError) as exc:
         raise SystemExit(f"error: {exc}")
-    Path(args.output).write_text(genome.to_dot())
     return 0
 
 

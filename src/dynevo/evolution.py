@@ -32,7 +32,8 @@ from . import netgraph
 from .envs import EnvSpec, RunningStandardizer, get_spec, run_episode_batch
 from .envs import run_episode_set  # noqa: F401  (perfbench/tracer.py patches this name)
 from .netgraph import DynamicNet
-from .rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
+from .rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_streams
+from .rng import derive_stream  # noqa: F401  (perfbench/tracer.py patches this name)
 
 CHECKPOINT_MAGIC = b"DYNEVO-CKPT"
 CHECKPOINT_VERSION = 1
@@ -161,17 +162,12 @@ def init_population(cfg: EvolutionConfig, spec: EnvSpec) -> Population:
 
 
 def variation(pop: Population, cfg: EvolutionConfig) -> None:
-    g = pop.generation
-    for slot, agent in enumerate(pop.agents):
-        agent.genome.perturb_parameters(
-            derive_stream(cfg.master_seed, g, slot, PURPOSE_PERTURB),
-            cfg.perturb_sigma,
-        )
-        if cfg.mode == "dynamic":
-            agent.genome.mutate(
-                derive_stream(cfg.master_seed, g, slot, PURPOSE_MUTATE),
-                cfg.init_sigma,
-            )
+    seed, g, slots = cfg.master_seed, pop.generation, range(len(pop.agents))
+    for agent, rng in zip(pop.agents, derive_streams(seed, g, slots, PURPOSE_PERTURB)):
+        agent.genome.perturb_parameters(rng, cfg.perturb_sigma)
+    if cfg.mode == "dynamic":
+        for agent, rng in zip(pop.agents, derive_streams(seed, g, slots, PURPOSE_MUTATE)):
+            agent.genome.mutate(rng, cfg.init_sigma)
 
 
 def episode_seeds_for(generation: int, spec: EnvSpec) -> list[int]:

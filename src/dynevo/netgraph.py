@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -105,12 +106,13 @@ class MutationOutcome:
 class PassState:
     """Forward-pass plan and activations for a batch of genomes, one per row.
 
-    Row ``r`` evaluates ``nets[r]``. Every genome is compiled once into one
-    block-diagonal plan over a buffer laid out as ``[cur | prev | 1.0]``:
-    the current pass, the previous pass, and a constant one that bias edges
-    read. Input ``d`` of row ``r`` sits at slot ``d * rows + r``, so
-    ``inputs`` is a ``(d_input, rows)`` view that one assignment fills.
-    Non-input nodes follow, grouped by layer index across all rows.
+    Row ``r`` evaluates ``nets[r]``; one genome may fill several rows. The
+    whole batch is compiled in one pass into one block-diagonal plan over a
+    buffer laid out as ``[cur | prev | 1.0]``: the current pass, the
+    previous pass, and a constant one that bias edges read. Input ``d`` of
+    row ``r`` sits at slot ``d * rows + r``, so ``inputs`` is a
+    ``(d_input, rows)`` view that one assignment fills. Non-input nodes
+    follow, grouped by layer index across all rows, each row's in id order.
 
     Each layer runs as one ``np.bincount`` over its edges. A node's bias
     comes first, as an edge from the constant-one slot (``0 + b*1 == b``),
@@ -121,49 +123,44 @@ class PassState:
     """
 
     def __init__(self, nets):
-        d_in = nets[0].d_input
-        rows = len(nets)
-        compiled = [_compile(net) for net in nets]
-        sizes = [len(c[0]) for c in compiled]
-        first = d_in * rows  # first non-input slot
-        n = first + sum(sizes)
+        d_in, rows = nets[0].d_input, len(nets)
+        # layers[L][r]: row r's layer-L nodes, in id order as the nodes dict keeps them.
+        layers = [[[] for _ in nets] for _ in range(max(net.layer_count for net in nets))]
+        for r, net in enumerate(nets):
+            for node in islice(net.nodes.values(), d_in, None):
+                layers[node.layer][r].append(node)
+        # Slots of layer L are starts[L] .. starts[L + 1] - 1.
+        slots = [{d: d * rows + r for d in range(d_in)} for r in range(rows)]
+        starts = [0, d_in * rows]
+        for layer in layers[1:]:
+            k = starts[-1]
+            for slot, nodes in zip(slots, layer):
+                slot.update((node.id, k + i) for i, node in enumerate(nodes))
+                k += len(nodes)
+            starts.append(k)
+        n = starts[-1]
         self.buf = np.zeros(2 * n + 1)
         self.buf[2 * n] = 1.0
         self.cur, self.prev = self.buf[:n], self.buf[n : 2 * n]
-        self.inputs = self.buf[:first].reshape(d_in, rows)
+        self.inputs = self.buf[: d_in * rows].reshape(d_in, rows)
 
-        # Global slot of every non-input node: sorted by layer, then row;
-        # within a row, compile order (layer, id) is kept by the stable sort.
-        node_layer = np.concatenate([c[0] for c in compiled])
-        node_row = np.repeat(np.arange(rows), sizes)
-        slot = np.empty(len(node_layer), dtype=np.intp)
-        slot[np.lexsort((node_row, node_layer))] = first + np.arange(len(node_layer))
-
-        srcs, weights, dsts, layers, outs = [], [], [], [], []
-        start = 0
-        for r, (layer, src, w, dst, out) in enumerate(compiled):
-            own = slot[start : start + len(layer)]
-            start += len(layer)
-            # Local slots: inputs, non-input nodes, then the constant one.
-            to_global = np.concatenate((np.arange(d_in) * rows + r, own, [2 * n]))
-            slot_layer = np.concatenate((np.zeros(d_in, np.intp), layer, [-1]))
-            recurrent = slot_layer[src] >= layer[dst]
-            srcs.append(to_global[src] + n * recurrent)
-            weights.append(w)
-            dsts.append(own[dst])
-            layers.append(layer[dst])
-            outs.append(own[out])
-        edge_layer = np.concatenate(layers)
-        order = np.argsort(edge_layer, kind="stable")
-        src, w, dst = (np.concatenate(a)[order] for a in (srcs, weights, dsts))
-        bounds = np.arange(1, node_layer.max() + 2)
-        cuts = np.searchsorted(edge_layer[order], bounds)
-        nodes = first + np.searchsorted(np.sort(node_layer), bounds)
-        self.layers = [
-            (src[a:b], w[a:b], dst[a:b] - lo, self.buf[lo:hi])
-            for a, b, lo, hi in zip(cuts, cuts[1:], nodes, nodes[1:])
-        ]
-        self.out_slots = np.stack(outs, axis=1)  # (d_output, rows)
+        self.layers = []
+        for layer, lo, hi in zip(layers[1:], starts[1:], starts[2:]):
+            src, w, fan_in = [], [], []
+            for slot, nodes in zip(slots, layer):
+                for node in nodes:
+                    src.append(n)  # the bias edge; see the shift below
+                    src += map(slot.__getitem__, node.inputs)
+                    w.append(node.bias)
+                    w += node.inputs.values()
+                    fan_in.append(len(node.inputs) + 1)
+            # A source in this layer or above reads ``prev``, ``n`` slots on;
+            # the bias source ``n`` lands on the constant one at ``2 * n``.
+            src = np.array(src, dtype=np.intp)
+            src += n * (src >= lo)
+            dst = np.repeat(np.arange(hi - lo), fan_in)
+            self.layers.append((src, np.array(w, dtype=float), dst, self.buf[lo:hi]))
+        self.out_slots = np.array([[slot[o] for slot in slots] for o in nets[0].output_ids])
 
     def reset(self) -> None:
         """Zero both passes: the next step starts a fresh episode."""
@@ -181,38 +178,6 @@ class PassState:
             np.fmax(np.bincount(dst, weights=w * buf[src], minlength=len(out)), 0.0, out=out)
         self.prev[...] = self.cur
         return buf[self.out_slots]
-
-
-def _compile(net: DynamicNet):
-    """One genome as flat arrays, in the evaluation order of :class:`PassState`.
-
-    Returns ``(layer, src, w, dst, out)``: the layer of each non-input node
-    in (layer, id) order; per edge, the local source slot (inputs, then
-    non-input nodes, then the constant one), weight and destination node;
-    and the node index of each output in creation order.
-    """
-    order = sorted(
-        (n for n in net.nodes.values() if n.kind != INPUT), key=lambda n: (n.layer, n.id)
-    )
-    d_in = net.d_input
-    slot_of = {nid: nid for nid in net.input_ids}
-    slot_of.update((node.id, d_in + k) for k, node in enumerate(order))
-    one = d_in + len(order)
-    src, w, fan_in = [], [], []
-    for node in order:
-        inputs = node.inputs
-        src.append(one)
-        src += [slot_of[s] for s in inputs]
-        w.append(node.bias)
-        w += inputs.values()
-        fan_in.append(len(inputs) + 1)
-    return (
-        np.array([node.layer for node in order], dtype=np.intp),
-        np.array(src, dtype=np.intp),
-        np.array(w, dtype=float),
-        np.repeat(np.arange(len(order)), fan_in),
-        np.array([slot_of[nid] - d_in for nid in net.output_ids], dtype=np.intp),
-    )
 
 
 class DynamicNet:
@@ -251,11 +216,13 @@ class DynamicNet:
         # deleted, so their ids are fixed. Output order == creation order.
         return list(range(self.d_input, self.d_input + self.d_output))
 
+    # The nodes dict is in ascending id order (validate() checks it), and the
+    # inputs, then the outputs, hold the lowest ids: id lists need no sort.
     def hidden_ids(self) -> list[int]:
-        return sorted(n.id for n in self.nodes.values() if n.kind == HIDDEN)
+        return list(self.nodes)[self.d_input + self.d_output :]
 
     def non_input_ids(self) -> list[int]:
-        return sorted(n.id for n in self.nodes.values() if n.kind != INPUT)
+        return list(self.nodes)[self.d_input :]
 
     def connection_count(self) -> int:
         return sum(len(n.inputs) for n in self.nodes.values())
@@ -272,7 +239,7 @@ class DynamicNet:
 
     def receiving_nodes(self) -> list[int]:
         """All input nodes plus every hidden/output node with in-nodes."""
-        return sorted(n.id for n in self.nodes.values() if n.kind == INPUT or n.inputs)
+        return [n.id for n in self.nodes.values() if n.kind == INPUT or n.inputs]
 
     def emitting_list(self) -> list[tuple[int, int]]:
         """One ``(src, dst)`` entry per connection, in deterministic order.
@@ -280,7 +247,7 @@ class DynamicNet:
         A node appears once per out-node it possesses, so uniform sampling
         over this list is uniform over connections.
         """
-        return [(nid, dst) for nid in sorted(self.nodes) for dst in self.nodes[nid].out_ids]
+        return [(nid, dst) for nid, node in self.nodes.items() for dst in node.out_ids]
 
     # ------------------------------------------------------------------
     # edge primitives
@@ -436,11 +403,12 @@ class DynamicNet:
 
     def applicable_mutations(self) -> list[str]:
         out = ["grow_connection"]
-        if any(n.inputs for n in self.nodes.values()):
+        wired = any(n.inputs for n in self.nodes.values())
+        if wired:
             out.append("prune_connection")
-        if len(self.receiving_nodes()) >= 2:
+        if self.d_input >= 2 or wired:  # at least two receiving nodes
             out.append("grow_node")
-        if any(n.kind == HIDDEN for n in self.nodes.values()):
+        if len(self.nodes) > self.d_input + self.d_output:
             out.append("prune_node")
         return out
 
@@ -473,10 +441,7 @@ class DynamicNet:
         """
         deltas = rng.normal_array(self.param_count())
         i = 0
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            if node.kind == INPUT:
-                continue
+        for node in islice(self.nodes.values(), self.d_input, None):
             inputs = node.inputs
             node.bias += sigma * deltas[i]
             for src, delta in zip(inputs, deltas[i + 1 : i + 1 + len(inputs)]):
@@ -515,15 +480,17 @@ class DynamicNet:
         nodes, last = self.nodes, self.layer_count - 1
         if self.d_input < 1 or self.d_output < 1 or last < 1:
             raise AssertionError("bad dimensions or layer count")
+        if any(a >= b for a, b in zip(nodes, islice(nodes, 1, None))):
+            raise AssertionError("node ids out of ascending order")
         ids = {INPUT: [], HIDDEN: [], OUTPUT: []}
         for n in nodes.values():
             if n.kind not in ids:
                 raise AssertionError(f"node {n.id} has unknown kind {n.kind!r}")
             ids[n.kind].append(n.id)
         # Counts first, so a huge declared size fails without building a list.
-        if len(ids[INPUT]) != self.d_input or sorted(ids[INPUT]) != self.input_ids:
+        if len(ids[INPUT]) != self.d_input or ids[INPUT] != self.input_ids:
             raise AssertionError("input nodes disagree with d_input")
-        if len(ids[OUTPUT]) != self.d_output or sorted(ids[OUTPUT]) != self.output_ids:
+        if len(ids[OUTPUT]) != self.d_output or ids[OUTPUT] != self.output_ids:
             raise AssertionError("output nodes disagree with d_output")
         if max(nodes) >= self.next_id:
             raise AssertionError("node id at or past next_id")
@@ -566,7 +533,7 @@ class DynamicNet:
         so ``from_obj`` rebuilds every ``out_ids`` order exactly.
         """
         by_id = self.nodes
-        nodes = [by_id[nid] for nid in sorted(by_id)]
+        nodes = by_id.values()
         return {
             "d_input": self.d_input,
             "d_output": self.d_output,
@@ -644,15 +611,11 @@ class DynamicNet:
         """Graphviz digraph; recurrent edges are dashed, layers ranked."""
         lines = ["digraph dynamic_net {", "  rankdir=LR;",
                  "  node [shape=circle];"]
+        shapes = {INPUT: " [shape=box]", HIDDEN: "", OUTPUT: " [shape=doublecircle]"}
         for layer in range(self.layer_count):
-            members = sorted(n.id for n in self.nodes.values() if n.layer == layer)
-            decls = []
-            for nid in members:
-                kind = self.nodes[nid].kind
-                shape = {"input": "box", "output": "doublecircle"}.get(kind)
-                attr = f" [shape={shape}]" if shape else ""
-                decls.append(f"n{nid}{attr};")
-            lines.append("  { rank=same; " + " ".join(decls) + " }")
+            decls = " ".join(f"n{n.id}{shapes[n.kind]};" for n in self.nodes.values()
+                             if n.layer == layer)
+            lines.append("  { rank=same; " + decls + " }")
         for src, dst in sorted((s, n.id) for n in self.nodes.values() for s in n.inputs):
             recurrent = self.nodes[src].layer >= self.nodes[dst].layer
             style = " [style=dashed]" if recurrent else ""

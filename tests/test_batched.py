@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynevo import RngStream, build_static, new_minimal
+from dynevo import PassState, RngStream, build_static, new_minimal
 from dynevo.envs import Discrete, RunningStandardizer, _pow2, get_spec, run_episode_batch
 from dynevo import evolution
 from dynevo.evolution import (
@@ -222,6 +222,26 @@ def test_batched_runner_matches_oracle(task):
     if task in ("CartPole-v1", "MountainCar-v0", "Acrobot-v1"):
         # a constant reward per step: the rows end at different steps
         assert len(set(got)) > 2
+
+
+def test_pass_state_rows_equal_one_row_plans():
+    """One genome may fill several rows, as ``test_elite`` batches the elite."""
+    d_in, d_out = 4, 2
+    grown = _grown(d_in, d_out, 2, 16)
+    static = build_static(d_in, d_out)
+    static.perturb_parameters(RngStream(6), 0.1)
+    nets = [grown, _recurrent(d_in, d_out), grown, static, _grown(d_in, d_out, 4, 11), grown]
+    batch = PassState(nets)
+    alone = [PassState([net]) for net in nets]
+    rng = RngStream(13)
+    for _ in range(8):
+        x = rng.uniform(-2.0, 2.0, (d_in, len(nets)))
+        batch.inputs[...] = x
+        got = batch.step()
+        for r, state in enumerate(alone):
+            state.inputs[:, 0] = x[:, r]
+            assert _bits(state.step()[:, 0].tolist()) == _bits(got[:, r].tolist())
+    assert len({tuple(got[:, r]) for r in range(len(nets))}) > 2
 
 
 def test_batched_rows_equal_single_runs():

@@ -313,6 +313,35 @@ def test_export_dot_slot_is_a_position(tmp_path, resumable):
     assert (tmp_path / "o.dot").read_text() == pop.agents[2].genome.to_dot()
 
 
+def test_export_dot_slot_of_genome_file_is_error_line(tmp_path, resumable):
+    genome = tmp_path / "elite.bin"
+    genome.write_bytes(load_checkpoint(resumable.read_bytes())[0].agents[0].genome.serialize())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["export-dot", str(genome), str(tmp_path / "o.dot"), "--slot", "7"])
+    assert str(exc.value) == f"error: --slot needs a checkpoint; {genome} is not one"
+    assert not (tmp_path / "o.dot").exists()
+
+
+@pytest.mark.parametrize("source", ["genome", "checkpoint"])
+def test_export_dot_to_missing_directory_is_error_line(tmp_path, resumable, source):
+    genome = tmp_path / "elite.bin"
+    genome.write_bytes(load_checkpoint(resumable.read_bytes())[0].agents[0].genome.serialize())
+    output = tmp_path / "nodir" / "x.dot"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["export-dot", str(genome if source == "genome" else resumable), str(output)])
+    assert str(exc.value).startswith("error: ") and str(output) in str(exc.value)
+    assert not output.parent.exists()
+
+
+def test_resume_with_gens_below_checkpoint_is_error_line(tmp_path, resumable):
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--resume", str(resumable), "--gens", "0", "--workers", "1",
+                 "--out", str(out)])
+    assert str(exc.value) == "error: generations 0 is below the checkpoint's generation 1"
+    assert not out.exists()
+
+
 def _reading_commands(ckpt, tmp_path):
     """Each command that reads a checkpoint, by name."""
     return {

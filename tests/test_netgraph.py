@@ -208,10 +208,15 @@ def _input_without_connection(obj):
     obj["connections"] = [c for c in obj["connections"] if c[:2] != edge]
 
 
+def _ids_out_of_order(obj):
+    """List the hidden node first; sort-free sampling reads the nodes in id order."""
+    obj["nodes"].insert(0, obj["nodes"].pop())
+
+
 @pytest.mark.parametrize("edit", [
     _dead_hidden_node, _outputs_to_layer_0, _unknown_kind, _duplicate_node,
     _id_past_counter, _unlisted_connection, _input_listed_twice,
-    _input_without_connection,
+    _input_without_connection, _ids_out_of_order,
 ])
 def test_from_obj_rejects_invalid_genome(edit):
     net = new_minimal(2, 1)
