@@ -6,7 +6,9 @@ Each generation runs three stages over a population of agents:
   for dynamic populations, apply exactly one architectural mutation;
 - evaluation: score every agent on the same generation-derived episode
   seeds (seed = generation * episodes_per_eval + episode);
-- selection: keep the top 50% by fitness and duplicate them.
+- selection: keep the top 50% by fitness and duplicate them; a duplicate
+  is its survivor's own object until the next variation copies it, so an
+  ``on_generation`` callback may read agents but must not change one.
 
 All randomness is derived per (master_seed, generation, slot, purpose),
 so results are a pure function of the config and independent of worker
@@ -26,12 +28,12 @@ import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from . import netgraph
 from .envs import EnvSpec, RunningStandardizer, get_spec, run_episode_batch
 from .envs import run_episode_set  # noqa: F401  (perfbench/tracer.py patches this name)
-from .netgraph import DynamicNet
+from .netgraph import DynamicNet, to_json
 from .rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_streams
 from .rng import derive_stream  # noqa: F401  (perfbench/tracer.py patches this name)
 
@@ -118,7 +120,8 @@ class Agent:
 
 @dataclass
 class Population:
-    """Agents in slot order (slot ``i`` is ``agents[i]``); the seed is the config's."""
+    """Agents in slot order (slot ``i`` is ``agents[i]``); the seed is the config's.
+    After ``select``, slot ``i + n/2`` holds slot ``i``'s object until ``variation``."""
 
     agents: list
     generation: int
@@ -162,6 +165,13 @@ def init_population(cfg: EvolutionConfig, spec: EnvSpec) -> Population:
 
 
 def variation(pop: Population, cfg: EvolutionConfig) -> None:
+    """Perturb every agent and, in dynamic mode, mutate it once; first, a slot
+    whose agent a lower slot holds too (a duplicate) gets the agent's ``clone()``."""
+    seen = set()
+    for slot, agent in enumerate(pop.agents):
+        if id(agent) in seen:
+            pop.agents[slot] = agent.clone()
+        seen.add(id(agent))
     seed, g, slots = cfg.master_seed, pop.generation, range(len(pop.agents))
     for agent, rng in zip(pop.agents, derive_streams(seed, g, slots, PURPOSE_PERTURB)):
         agent.genome.perturb_parameters(rng, cfg.perturb_sigma)
@@ -219,9 +229,14 @@ def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) ->
     run as one lockstep batch. One shard (always, without a pool) runs in
     this process; several each make one round trip to a pool worker. A
     failure while scoring a shard is raised as ``RuntimeError`` naming the
-    generation and the shard's slots.
+    generation and the shard's slots; so is one agent held in two slots.
     """
     g = pop.generation
+    first = {}
+    for slot, agent in enumerate(pop.agents):
+        if first.setdefault(id(agent), slot) != slot:
+            raise RuntimeError(f"generation {g}: slots {first[id(agent)]} and {slot} "
+                               "hold one agent; variation copies it before scoring")
     seeds = episode_seeds_for(g, spec)
     n = len(pop.agents)
     k = shard_count([a.genome for a in pop.agents], cfg.workers) if pool is not None else 1
@@ -254,10 +269,10 @@ def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) ->
 
 
 def select(pop: Population) -> None:
-    """Keep the top half (ties: lower slot), duplicate it, advance a generation."""
+    """Keep the top half (ties: lower slot) and advance a generation; slot
+    ``i + n/2`` holds survivor ``i`` itself until ``variation`` copies it."""
     order = sorted(pop.agents, key=lambda a: -a.fitness)  # stable: ties keep slot order
-    survivors = order[: len(pop.agents) // 2]
-    pop.agents = survivors + [a.clone() for a in survivors]
+    pop.agents = order[: len(pop.agents) // 2] * 2
     pop.generation += 1
 
 
@@ -294,7 +309,8 @@ def run_evolution(
 
     Returns ``(population, records)``. ``on_generation(pop, record)`` is
     called after each generation's selection; returning ``False`` stops
-    the run. ``resume`` continues a loaded run; the continuation is
+    the run; it must not change an agent, whose duplicate is the same
+    object. ``resume`` continues a loaded run; the continuation is
     identical to an uninterrupted one because all randomness is
     generation-keyed. The loop reads and writes no file.
     """
@@ -408,16 +424,19 @@ def _gc_paused():
 
 
 def save_checkpoint(pop: Population, cfg: EvolutionConfig, records) -> bytes:
-    """Encode a run; each agent record carries its slot, and the top level the seed."""
+    """Encode a run as the JSON of ``{"config", "generation", "master_seed",
+    "agents": [{"slot", **agent.to_obj()}, ...], "records"}``. A duplicate is
+    its survivor's object until ``variation``, so each distinct agent is coded
+    once and its text after the opening brace written at each of its slots."""
     with _gc_paused():
-        obj = {
-            "config": asdict(cfg),
-            "generation": pop.generation,
-            "master_seed": cfg.master_seed,
-            "agents": [{"slot": i, **a.to_obj()} for i, a in enumerate(pop.agents)],
-            "records": [asdict(r) for r in records],
-        }
-        return netgraph.encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, obj)
+        distinct = {id(a): a for a in pop.agents}
+        bodies = {key: to_json(a.to_obj())[1:] for key, a in distinct.items()}
+        agents = ",".join(f'{{"slot":{i},{bodies[id(a)]}' for i, a in enumerate(pop.agents))
+        head = to_json({"config": asdict(cfg), "generation": pop.generation,
+                        "master_seed": cfg.master_seed})[:-1]
+        tail = to_json([asdict(r) for r in records])
+        payload = f'{head},"agents":[{agents}],"records":{tail}}}'.encode()
+        return netgraph.encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, payload)
 
 
 def load_checkpoint(data: bytes):
@@ -441,7 +460,13 @@ def load_checkpoint(data: bytes):
                     raise ValueError(f"agent record {i} names slot {rec['slot']!r}")
             agents = [Agent.from_obj(rec) for rec in obj["agents"]]
             _check_agents_fit(agents, cfg)
-            pop = Population(agents, int(obj["generation"]))
+            typed = [("generation", obj["generation"], "int")] + [
+                (f"record {i} field {f.name}", rec[f.name], f.type)
+                for i, rec in enumerate(obj["records"]) for f in fields(RunRecord)]
+            for what, value, kind in typed:  # JSON decodes to exact int and float
+                if type(value) is not {"int": int, "float": float}[kind]:
+                    raise ValueError(f"{what} must be {kind}, got {value!r}")
+            pop = Population(agents, obj["generation"])
             records = [RunRecord(**r) for r in obj["records"]]
             if pop.generation < 0 or [r.generation for r in records] != list(range(pop.generation)):
                 raise ValueError(f"records are not generations 0 .. {pop.generation - 1}")

@@ -48,13 +48,18 @@ class GenomeFormatError(ValueError):
     """Raised when genome bytes fail to decode."""
 
 
+def to_json(obj) -> str:
+    """Compact JSON text (floats via ``repr``, so round-trips are exact)."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def encode_framed(magic: bytes, version: int, obj) -> bytes:
     """Wire framing shared by genomes and checkpoints.
 
     The bytes are ``magic``, ``version`` as a little-endian uint32, then
-    ``obj`` as compact JSON (floats via ``repr``, so round-trips are exact).
+    ``obj`` as UTF-8 :func:`to_json` text (or ``obj`` itself, if already bytes).
     """
-    payload = json.dumps(obj, separators=(",", ":")).encode()
+    payload = obj if isinstance(obj, bytes) else to_json(obj).encode()
     return magic + struct.pack("<I", version) + payload
 
 

@@ -342,6 +342,29 @@ def test_resume_with_gens_below_checkpoint_is_error_line(tmp_path, resumable):
     assert not out.exists()
 
 
+def _mistype_record(obj):
+    obj["records"][0].update(best_fitness="oops", elite_params=2.5)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (_mistype_record, "record 0 field best_fitness must be float, got 'oops'"),
+    (lambda obj: obj.update(generation=1.7), "generation must be int, got 1.7"),
+], ids=["record", "generation"])
+def test_resume_of_checkpoint_with_mistyped_record_is_error_line(
+    tmp_path, resumable, edit, reason
+):
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(resumable.read_bytes(), *frame, CheckpointFormatError, "checkpoint")
+    edit(obj)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_framed(*frame, obj))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--gens", "2", "--workers", "1", "--resume", str(bad),
+                 "--out", str(tmp_path / "r")])
+    assert str(exc.value) == f"error: cannot resume: corrupt checkpoint: {reason}"
+    assert not (tmp_path / "r").exists()
+
+
 def _reading_commands(ckpt, tmp_path):
     """Each command that reads a checkpoint, by name."""
     return {

@@ -1,6 +1,7 @@
 """Evolutionary loop: stages, RNG lineage, selection, checkpoints."""
 
 import copy
+import dataclasses
 import math
 
 import pytest
@@ -155,13 +156,13 @@ def test_select_rank_and_duplicate():
     pop = init_population(cfg, get_spec(cfg.task))
     for agent, f in zip(pop.agents, [1.0, 2.0, 3.0, 4.0]):
         agent.fitness = f
-    ids = [id(a.genome) for a in pop.agents]
+    orig = list(pop.agents)
     select(pop)
     assert [a.fitness for a in pop.agents] == [4.0, 3.0, 4.0, 3.0]
     assert pop.generation == 1
-    # copies are deep: genomes of slots 2,3 are new objects
-    assert id(pop.agents[2].genome) not in ids
-    assert id(pop.agents[3].genome) not in ids
+    assert pop.agents[0] is orig[3] and pop.agents[1] is orig[2]
+    # duplicates are the survivors themselves until variation copies them
+    assert pop.agents[2] is pop.agents[0] and pop.agents[3] is pop.agents[1]
 
 
 def test_select_tie_break_lowest_slot():
@@ -181,18 +182,52 @@ def test_duplicates_diverge_after_variation():
     variation(pop, cfg)
     evaluate(pop, cfg, get_spec(cfg.task))
     select(pop)
-    # slots 0 and 2 hold identical genomes now, sharing no mutable list
-    survivor, clone = pop.agents[0], pop.agents[2]
-    assert clone.genome.to_obj() == survivor.genome.to_obj()
-    assert list(clone.genome.nodes) == list(survivor.genome.nodes)
-    for nid, node in survivor.genome.nodes.items():
-        assert clone.genome.nodes[nid].inputs is not node.inputs
-        assert clone.genome.nodes[nid].out_ids is not node.out_ids
+    survivor = pop.agents[0]
+    assert pop.agents[2] is survivor
+    variation(pop, cfg)
+    # slots 0 and 2 hold distinct agents now, sharing no mutable list or dict
+    clone = pop.agents[2]
+    assert pop.agents[0] is survivor and clone is not survivor
+    assert clone.genome is not survivor.genome
+    for nid in survivor.genome.nodes.keys() & clone.genome.nodes.keys():
+        node, copied = survivor.genome.nodes[nid], clone.genome.nodes[nid]
+        assert copied is not node
+        assert copied.inputs is not node.inputs
+        assert copied.out_ids is not node.out_ids
+    assert clone.standardizer is not survivor.standardizer
     assert clone.standardizer.__dict__ == survivor.standardizer.__dict__
     assert clone.standardizer.mean is not survivor.standardizer.mean
     assert clone.standardizer.m2 is not survivor.standardizer.m2
-    variation(pop, cfg)
     assert pop.agents[0].genome.to_obj() != pop.agents[2].genome.to_obj()
+
+
+def test_variation_copies_an_agent_held_in_three_slots():
+    """Each extra slot gets a copy taken before any agent is varied."""
+    cfg = small_cfg(population_size=4)
+    spec = get_spec(cfg.task)
+    pop = init_population(cfg, spec)
+    variation(pop, cfg)
+    evaluate(pop, cfg, spec)
+    a, b = pop.agents[:2]
+    shared = Population([a, b, a, a], 1)
+    cloned = Population([x.clone() for x in shared.agents], 1)
+    variation(shared, cfg)
+    variation(cloned, cfg)
+    assert shared.agents[0] is a and shared.agents[1] is b
+    assert len({id(x) for x in shared.agents}) == 4
+    assert len({id(x.genome) for x in shared.agents}) == 4
+    assert [x.to_obj() for x in shared.agents] == [x.to_obj() for x in cloned.agents]
+
+
+def test_evaluate_refuses_one_agent_in_two_slots():
+    cfg = small_cfg(population_size=4)
+    spec = get_spec(cfg.task)
+    pop = init_population(cfg, spec)
+    variation(pop, cfg)
+    evaluate(pop, cfg, spec)
+    select(pop)
+    with pytest.raises(RuntimeError, match=r"^generation 1: slots 0 and 2 hold one agent"):
+        evaluate(pop, cfg, spec)
 
 
 def test_evaluate_sets_finite_fitness_and_is_deterministic():
@@ -317,6 +352,74 @@ def test_checkpoint_roundtrip():
     ]
     assert records2 == records
     assert save_checkpoint(pop2, cfg2, records2) == blob
+
+
+@pytest.mark.parametrize("mode,generations", [
+    ("dynamic", 0), ("dynamic", 2), ("static", 2),
+])
+def test_checkpoint_codes_each_distinct_agent_once(mode, generations, monkeypatch):
+    """Shared slots save to the bytes of a population of copies, coding each
+    distinct agent once; those bytes load to distinct agents and re-save."""
+    cfg = small_cfg(population_size=4, generations=generations, mode=mode)
+    pop, records = run_evolution(cfg)
+    pop.agents[2:] = pop.agents[:2]
+    copies = Population(pop.agents[:2] + [a.clone() for a in pop.agents[2:]], pop.generation)
+    whole = {
+        "config": dataclasses.asdict(cfg), "generation": pop.generation,
+        "master_seed": cfg.master_seed,
+        "agents": [{"slot": i, **a.to_obj()} for i, a in enumerate(pop.agents)],
+        "records": [dataclasses.asdict(r) for r in records],
+    }
+    coded = []
+    to_obj = Agent.to_obj
+    monkeypatch.setattr(Agent, "to_obj", lambda self: coded.append(self) or to_obj(self))
+    blob = save_checkpoint(pop, cfg, records)
+    assert [id(a) for a in coded] == [id(a) for a in pop.agents[:2]]
+    assert blob == encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, whole)
+    assert save_checkpoint(copies, cfg, records) == blob
+    pop2, cfg2, records2 = load_checkpoint(blob)
+    assert len({id(a) for a in pop2.agents}) == 4
+    assert len({id(a.genome) for a in pop2.agents}) == 4
+    assert save_checkpoint(pop2, cfg2, records2) == blob
+
+
+def _string_fitness(obj):
+    obj["records"][0]["best_fitness"] = "oops"
+
+
+def _float_params(obj):
+    obj["records"][0]["elite_params"] = 2.5
+
+
+def _bool_nodes(obj):
+    obj["records"][0]["elite_nodes"] = True
+
+
+def _int_elapsed(obj):
+    obj["records"][0]["elapsed_seconds"] = 1
+
+
+def _float_generation(obj):
+    obj["generation"] = 1.7
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (_string_fitness, "record 0 field best_fitness must be float, got 'oops'"),
+    (_float_params, "record 0 field elite_params must be int, got 2.5"),
+    (_bool_nodes, "record 0 field elite_nodes must be int, got True"),
+    (_int_elapsed, "record 0 field elapsed_seconds must be float, got 1"),
+    (_float_generation, "generation must be int, got 1.7"),
+])
+def test_checkpoint_rejects_mistyped_run_records(edit, reason):
+    cfg = small_cfg(population_size=4, generations=1)
+    pop, records = run_evolution(cfg)
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(save_checkpoint(pop, cfg, records), *frame,
+                        CheckpointFormatError, "checkpoint")
+    edit(obj)
+    with pytest.raises(CheckpointFormatError) as exc:
+        load_checkpoint(encode_framed(*frame, obj))
+    assert str(exc.value) == f"corrupt checkpoint: {reason}"
 
 
 def test_checkpoint_rejects_corruption():
