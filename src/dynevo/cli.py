@@ -94,10 +94,10 @@ def _build_config(args):
             if key not in _CONFIG_KEYS:
                 raise SystemExit(f"error: unknown config key {key!r}")
             values[_CONFIG_KEYS[key]] = val
-    for flag in ("task", "mode", "pop", "gens", "seed", "workers", "checkpoint_every"):
-        val = getattr(args, flag)
+    for key, name in _CONFIG_KEYS.items():  # the sigmas have no flag
+        val = getattr(args, key, None)
         if val is not None:
-            values[_CONFIG_KEYS[flag]] = val
+            values[name] = val
 
     resume = None
     if args.resume:

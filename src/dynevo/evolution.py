@@ -18,8 +18,6 @@ round trip per shard, in contiguous shards on pool workers
 (``shard_count``); ``workers`` is only an upper bound.
 """
 
-from __future__ import annotations
-
 import gc
 import math
 import numbers
@@ -33,7 +31,7 @@ from dataclasses import asdict, dataclass, fields
 from . import netgraph
 from .envs import EnvSpec, RunningStandardizer, get_spec, run_episode_batch
 from .envs import run_episode_set  # noqa: F401  (perfbench/tracer.py patches this name)
-from .netgraph import DynamicNet, to_json
+from .netgraph import DynamicNet, exact, to_json
 from .rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_streams
 from .rng import derive_stream  # noqa: F401  (perfbench/tracer.py patches this name)
 
@@ -46,6 +44,9 @@ TEST_SEEDS = tuple(range(2**31 - 10, 2**31))
 
 class CheckpointFormatError(ValueError):
     """Raised when checkpoint bytes fail to decode."""
+
+
+_KIND_WORDS = {int: "an integer", float: "a real number", str: "a string"}
 
 
 @dataclass
@@ -61,19 +62,13 @@ class EvolutionConfig:
     checkpoint_every: int = 0
 
     def validate(self) -> None:
-        for name in ("population_size", "generations", "master_seed", "workers",
-                     "checkpoint_every"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("perturb_sigma", "init_sigma"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        for name in ("task", "mode"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+        """Check each field's type against its annotation (a ``float`` sigma may be
+        any real number), then the ranges."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and type(value) is not bool
+                    if f.type is float else type(value) is f.type):
+                raise ValueError(f"{f.name} must be {_KIND_WORDS[f.type]}, got {value!r}")
         get_spec(self.task)
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population_size must be a positive even integer")
@@ -110,7 +105,7 @@ class Agent:
         return cls(
             DynamicNet.from_obj(obj["genome"]),
             _standardizer_from_obj(obj["standardizer"]),
-            math.nan if obj["fitness"] is None else float(obj["fitness"]),
+            math.nan if obj["fitness"] is None else exact(obj["fitness"], float, "agent fitness"),
         )
 
     def clone(self) -> "Agent":
@@ -138,17 +133,11 @@ class RunRecord:
     elite_connections: int
     elapsed_seconds: float
 
-    CSV_HEADER = (
-        "generation,best_fitness,mean_fitness,median_fitness,"
-        "elite_params,elite_nodes,elite_connections,elapsed_seconds"
-    )
-
     def csv_row(self) -> str:
-        return (
-            f"{self.generation},{self.best_fitness!r},{self.mean_fitness!r},"
-            f"{self.median_fitness!r},{self.elite_params},{self.elite_nodes},"
-            f"{self.elite_connections},{self.elapsed_seconds!r}"
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+
+
+RunRecord.CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 
 # ----------------------------------------------------------------------
@@ -380,10 +369,12 @@ def _standardizer_to_obj(s: RunningStandardizer) -> dict:
 
 
 def _standardizer_from_obj(obj: dict) -> RunningStandardizer:
-    s = RunningStandardizer(int(obj["dim"]))
-    s.count = int(obj["count"])
-    s.mean = [float(x) for x in obj["mean"]]
-    s.m2 = [float(x) for x in obj["m2"]]
+    """Built from its checked lists; ``dim`` sizes nothing, it must equal their length."""
+    s = RunningStandardizer.__new__(RunningStandardizer)
+    s.dim = exact(obj["dim"], int, "standardizer dim")
+    s.count = exact(obj["count"], int, "standardizer count")
+    s.mean = [exact(x, float, "standardizer mean") for x in obj["mean"]]
+    s.m2 = [exact(x, float, "standardizer m2") for x in obj["m2"]]
     if s.count < 0 or not len(s.mean) == len(s.m2) == s.dim:
         raise ValueError("standardizer count or moments disagree with its dimension")
     return s
@@ -442,31 +433,33 @@ def save_checkpoint(pop: Population, cfg: EvolutionConfig, records) -> bytes:
 def load_checkpoint(data: bytes):
     """Decode checkpoint bytes into ``(population, config, records)``.
 
-    The file's top-level seed must be its config's, each agent record's slot
-    its position, and its records the generations ``0 .. generation - 1``.
+    Each value must have its exact JSON type and the config every field. The
+    file's top-level seed must be its config's, each agent record's slot its
+    position, and its records the generations ``0 .. generation - 1``.
     """
     with _gc_paused():
         obj = netgraph.decode_framed(
             data, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointFormatError, "checkpoint"
         )
         try:
-            cfg = EvolutionConfig(**obj["config"])
+            config = obj["config"]
+            cfg = EvolutionConfig(**config)
+            missing = [f.name for f in fields(cfg) if f.name not in config]
+            if missing:
+                raise ValueError(f"config lacks {', '.join(missing)}")
             cfg.validate()
-            if obj["master_seed"] != cfg.master_seed:
+            if exact(obj["master_seed"], int, "master_seed") != cfg.master_seed:
                 raise ValueError(f"master_seed {obj['master_seed']!r} differs from the "
                                  f"config's {cfg.master_seed}")
             for i, rec in enumerate(obj["agents"]):
-                if rec["slot"] != i:
+                if exact(rec["slot"], int, f"agent record {i} slot") != i:
                     raise ValueError(f"agent record {i} names slot {rec['slot']!r}")
             agents = [Agent.from_obj(rec) for rec in obj["agents"]]
             _check_agents_fit(agents, cfg)
-            typed = [("generation", obj["generation"], "int")] + [
-                (f"record {i} field {f.name}", rec[f.name], f.type)
-                for i, rec in enumerate(obj["records"]) for f in fields(RunRecord)]
-            for what, value, kind in typed:  # JSON decodes to exact int and float
-                if type(value) is not {"int": int, "float": float}[kind]:
-                    raise ValueError(f"{what} must be {kind}, got {value!r}")
-            pop = Population(agents, obj["generation"])
+            pop = Population(agents, exact(obj["generation"], int, "generation"))
+            for i, rec in enumerate(obj["records"]):
+                for f in fields(RunRecord):
+                    exact(rec[f.name], f.type, f"record {i} field {f.name}")
             records = [RunRecord(**r) for r in obj["records"]]
             if pop.generation < 0 or [r.generation for r in records] != list(range(pop.generation)):
                 raise ValueError(f"records are not generations 0 .. {pop.generation - 1}")

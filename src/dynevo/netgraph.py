@@ -76,6 +76,13 @@ def decode_framed(data: bytes, magic: bytes, version: int, error: type, what: st
         raise error(f"corrupt {what} payload: {exc}") from exc
 
 
+def exact(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (JSON ``true`` is no int, ``1`` no float)."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 class Node:
     """``inputs`` maps each source id to its edge's weight, in summation order."""
 
@@ -560,16 +567,17 @@ class DynamicNet:
         """Parse a genome read from disk; it must pass :meth:`validate`."""
         try:
             net = cls.__new__(cls)
-            net.d_input = int(obj["d_input"])
-            net.d_output = int(obj["d_output"])
-            net.layer_count = int(obj["layer_count"])
-            net.architecture_frozen = bool(obj["architecture_frozen"])
-            net.next_id = int(obj["next_id"])
+            for name, kind in (("d_input", int), ("d_output", int), ("layer_count", int),
+                               ("architecture_frozen", bool), ("next_id", int)):
+                setattr(net, name, exact(obj[name], kind, name))
             net.nodes = {}
             for rec in obj["nodes"]:
-                node = Node(int(rec["id"]), str(rec["kind"]), int(rec["layer"]),
-                            float(rec["bias"]))
-                sources = [int(x) for x in rec["in"]]
+                node = Node(exact(rec["id"], int, "node id"), exact(rec["kind"], str, "node kind"),
+                            exact(rec["layer"], int, "node layer"),
+                            exact(rec["bias"], float, "node bias"))
+                sources = rec["in"]
+                if not all(type(x) is int for x in sources):
+                    raise ValueError(f"node {node.id} inputs must be ints, got {sources!r}")
                 node.inputs = dict.fromkeys(sources)  # weights come with the connections
                 if len(node.inputs) != len(sources):
                     raise ValueError(f"node {node.id} lists an input twice")
@@ -579,11 +587,12 @@ class DynamicNet:
             # Rebuild out_ids from the connection list so the recorded
             # emitting order (and thus prune sampling) round-trips exactly.
             for s, d, w in obj["connections"]:
-                s, d = int(s), int(d)
+                if type(s) is not int or type(d) is not int or type(w) is not float:
+                    raise ValueError(f"connection must be [int, int, float], got {[s, d, w]!r}")
                 inputs = net.nodes[d].inputs
                 if s not in inputs:
                     raise ValueError(f"connection {s}->{d} is not an input of {d}")
-                inputs[s] = float(w)
+                inputs[s] = w
                 net.nodes[s].out_ids.append(d)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GenomeFormatError(f"malformed genome object: {exc}") from exc

@@ -11,9 +11,10 @@ results are a pure function of the master seed, whatever the scheduling;
 :func:`derive_streams` runs that hash for a whole generation at once.
 ``RngStream.randrange`` draws what ``Generator.integers(0, n)`` draws, in
 Python: nothing for ``n == 1``, else Lemire's method on the 32-bit halves
-of 64-bit ``random_raw()`` words, low half first (64-bit words above
-``2**32``). The stream keeps the spare high half, so no other draw on it
-may use numpy's 32-bit words. ``tests/test_rng.py`` pins both to numpy.
+of 64-bit ``random_raw()`` words, low half first, for ``n`` up to
+``2**32``: every bound is the length of a list. The stream keeps the
+spare high half, so no other draw on it may use numpy's 32-bit words.
+``tests/test_rng.py`` pins both to numpy.
 """
 
 from __future__ import annotations
@@ -65,27 +66,20 @@ class RngStream:
     def randrange(self, n: int) -> int:
         """Uniform integer in ``[0, n)``; equals ``int(Generator.integers(0, n))``.
 
-        Lemire's method: a ``bits``-bit word times ``n``, redrawn while its
-        low ``bits`` are below ``(2**bits - n) % n``; the high part is the
-        draw. ``bits`` is 32 up to ``n == 2**32`` and 64 above.
+        Lemire's method: a 32-bit word times ``n``, redrawn while its low 32
+        bits are below ``(2**32 - n) % n``; the high part is the draw. Every
+        caller passes a list's length, so ``n`` above ``2**32`` is rejected.
         """
         if n == 1:
             return 0
-        if not 1 < n <= 1 << 64:
-            raise ValueError("randrange() requires 1 <= n <= 2**64")
-        if n <= 1 << 32:
-            m = self._word32() * n
-            if m & _MASK32 < n:
-                threshold = ((1 << 32) - n) % n
-                while m & _MASK32 < threshold:
-                    m = self._word32() * n
-            return m >> 32
-        m = self._raw() * n
-        if m & _MASK64 < n:
-            threshold = ((1 << 64) - n) % n
-            while m & _MASK64 < threshold:
-                m = self._raw() * n
-        return m >> 64
+        if not 1 < n <= 1 << 32:
+            raise ValueError("randrange() requires 1 <= n <= 2**32")
+        m = self._word32() * n
+        if m & _MASK32 < n:
+            threshold = ((1 << 32) - n) % n
+            while m & _MASK32 < threshold:
+                m = self._word32() * n
+        return m >> 32
 
     def normal(self) -> float:
         """One standard-normal deviate."""

@@ -3,21 +3,36 @@
 ``perfbench`` drives the program from outside: it imports entry points such
 as ``new_minimal``, ``make_env`` and ``cli.load_checkpoint``, and its tracer
 patches functions such as ``DynamicNet.forward``, ``Agent.clone`` and
-``evolution.run_episode_set`` by name. Renaming or removing one of them
-breaks the benchmark, and this check shows it within a second.
+``evolution.run_episode_set`` by name. Outside the tracer,
+``workloads.static_resume`` wraps ``cli.run_evolution`` and ``probe.py``
+replaces ``evolution.variation``; those patches work only while the program
+looks each name up as a module global at call time. Renaming or removing
+one of them breaks the benchmark, and this check shows it within a second.
 """
 
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_benchmark_imports_and_patches_resolve(monkeypatch):
+class _Reached(Exception):
+    """Raised by a stand-in to show that the program called it."""
+
+
+def _reached(*_args, **_kwargs):
+    raise _Reached
+
+
+def test_benchmark_imports_and_patches_resolve(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import isolate
     import tracer
     import workloads
 
+    import dynevo.cli
+    import dynevo.evolution
     import dynevo.netgraph
 
     forward = dynevo.netgraph.DynamicNet.forward
@@ -31,3 +46,12 @@ def test_benchmark_imports_and_patches_resolve(monkeypatch):
     genomes = isolate.genomes()
     assert genomes["static"].param_count() == 7902
     assert set(workloads.WORKLOADS) == {"cartpole-solve", "pendulum-pool", "static-resume"}
+
+    monkeypatch.setattr(dynevo.cli, "run_evolution", _reached)
+    with pytest.raises(_Reached):  # cmd_evolve reads cli.run_evolution when it runs
+        dynevo.cli.main(["evolve", "--task", "CartPole-v1", "--pop", "2", "--gens", "1",
+                         "--workers", "1", "--out", str(tmp_path / "run")])
+    monkeypatch.setattr(dynevo.evolution, "variation", _reached)
+    with pytest.raises(_Reached):  # run_evolution reads evolution.variation when it runs
+        dynevo.evolution.run_evolution(
+            dynevo.evolution.EvolutionConfig("CartPole-v1", population_size=2, generations=1))

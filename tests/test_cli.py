@@ -544,6 +544,49 @@ def test_interrupted_run_and_resume_lose_nothing(tmp_path, monkeypatch):
     assert [timeless(r) for r in recs_a] == [timeless(r) for r in recs_b]
 
 
+# Runs the CLI with an os.replace that SIGKILLs its own process when it
+# would put ckpt_3.bin in place: a kill inside the atomic checkpoint write.
+_KILL_AT_CKPT_3 = """
+import os, signal, sys
+from dynevo.cli import main
+replace = os.replace
+def replace_or_die(src, dst):
+    if os.path.basename(dst) == "ckpt_3.bin":
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+os.replace = replace_or_die
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_sigkill_during_checkpoint_write_and_resume_lose_nothing(tmp_path):
+    full, out = tmp_path / "full", tmp_path / "run"
+    run_cli(evolve_args(full, gens=5, extra=["--checkpoint-every", "1"]))
+    env = dict(os.environ, PYTHONPATH=str(Path(dynevo.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_AT_CKPT_3,
+         *evolve_args(out, gens=5, extra=["--checkpoint-every", "1"])],
+        env=env, stderr=subprocess.DEVNULL, timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    assert (out / ".ckpt_3.bin.tmp").exists() and not (out / "ckpt_3.bin").exists()
+    timeless = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)
+
+    def assert_same_run(name):
+        pop_a, _, recs_a = load_checkpoint((full / name).read_bytes())
+        pop_b, _, recs_b = load_checkpoint((out / name).read_bytes())
+        assert [a.to_obj() for a in pop_a.agents] == [a.to_obj() for a in pop_b.agents]
+        assert [timeless(r) for r in recs_a] == [timeless(r) for r in recs_b]
+
+    assert_same_run("ckpt_2.bin")
+    resume = ["evolve", "--workers", "1", "--out", str(out), "--resume"]
+    assert run_cli(resume + [str(out / "ckpt_2.bin")]) == 0
+    assert not list(out.glob("*.tmp"))  # pathlib's * matches a leading dot
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2", "3", "4"]
+    assert_same_run("ckpt_5.bin")
+
+
 def test_ctrl_c_with_pool_workers_is_one_error_line(tmp_path):
     # Static CartPole at population 8 shards onto the pool when 2 cores are
     # usable; Ctrl-C goes to the whole process group, workers included.

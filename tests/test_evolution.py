@@ -403,12 +403,43 @@ def _float_generation(obj):
     obj["generation"] = 1.7
 
 
+def _string_agent_fitness(obj):
+    obj["agents"][0]["fitness"] = "12.5"
+
+
+def _bool_agent_fitness(obj):
+    obj["agents"][0]["fitness"] = True
+
+
+def _float_count(obj):
+    obj["agents"][0]["standardizer"]["count"] = 2.7
+
+
+def _string_mean(obj):
+    obj["agents"][0]["standardizer"]["mean"][0] = "0.5"
+
+
+def _huge_dim(obj):
+    """A dimension no list could have; nothing may be sized by it before it is checked."""
+    obj["agents"][0]["standardizer"]["dim"] = 2**62
+
+
+def _config_without_sigma(obj):
+    del obj["config"]["perturb_sigma"]
+
+
 @pytest.mark.parametrize("edit,reason", [
     (_string_fitness, "record 0 field best_fitness must be float, got 'oops'"),
     (_float_params, "record 0 field elite_params must be int, got 2.5"),
     (_bool_nodes, "record 0 field elite_nodes must be int, got True"),
     (_int_elapsed, "record 0 field elapsed_seconds must be float, got 1"),
     (_float_generation, "generation must be int, got 1.7"),
+    (_string_agent_fitness, "agent fitness must be float, got '12.5'"),
+    (_bool_agent_fitness, "agent fitness must be float, got True"),
+    (_float_count, "standardizer count must be int, got 2.7"),
+    (_string_mean, "standardizer mean must be float, got '0.5'"),
+    (_huge_dim, "standardizer count or moments disagree with its dimension"),
+    (_config_without_sigma, "config lacks perturb_sigma"),
 ])
 def test_checkpoint_rejects_mistyped_run_records(edit, reason):
     cfg = small_cfg(population_size=4, generations=1)

@@ -213,10 +213,37 @@ def _ids_out_of_order(obj):
     obj["nodes"].insert(0, obj["nodes"].pop())
 
 
+def _frozen_as_string(obj):
+    obj["architecture_frozen"] = "false"
+
+
+def _fractional_d_input(obj):
+    """A count with a fraction; truncating it would give the right count."""
+    obj["d_input"] += 0.7
+
+
+def _string_bias(obj):
+    next(n for n in obj["nodes"] if n["kind"] == "hidden")["bias"] = "0.5"
+
+
+def _bool_bias(obj):
+    next(n for n in obj["nodes"] if n["kind"] == "hidden")["bias"] = True
+
+
+def _string_weight(obj):
+    obj["connections"][0][2] = "0.5"
+
+
+def _float_input_id(obj):
+    hidden = next(n for n in obj["nodes"] if n["kind"] == "hidden")
+    hidden["in"][0] = float(hidden["in"][0])
+
+
 @pytest.mark.parametrize("edit", [
     _dead_hidden_node, _outputs_to_layer_0, _unknown_kind, _duplicate_node,
     _id_past_counter, _unlisted_connection, _input_listed_twice,
-    _input_without_connection, _ids_out_of_order,
+    _input_without_connection, _ids_out_of_order, _frozen_as_string,
+    _fractional_d_input, _string_bias, _bool_bias, _string_weight, _float_input_id,
 ])
 def test_from_obj_rejects_invalid_genome(edit):
     net = new_minimal(2, 1)

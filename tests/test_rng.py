@@ -54,8 +54,7 @@ def test_derive_streams_rejects_negative_keys():
         derive_streams(0, -1, [0], PURPOSE_PERTURB)
 
 
-BOUNDS = [1, 2, 3, 7, 17, 30, 100, 1000, 2**31 - 1, 2**31 + 1, 2**32, 2**32 + 1,
-          2**40, 2**62 + 1]
+BOUNDS = [1, 2, 3, 7, 17, 30, 100, 1000, 2**31 - 1, 2**31 + 1, 2**32]
 
 
 def _interleave(i, ours, theirs):
@@ -70,7 +69,7 @@ def _interleave(i, ours, theirs):
 
 @pytest.mark.parametrize("n", BOUNDS)
 def test_randrange_equals_generator_integers(n):
-    """2**31 + 1 and 2**62 + 1 reject about half and a quarter of their words."""
+    """2**31 + 1 rejects about half of its words."""
     ours, theirs = RngStream(n), np.random.Generator(np.random.PCG64(n))
     for i in range(3000):
         assert ours.randrange(n) == int(theirs.integers(0, n))
@@ -86,7 +85,7 @@ def test_randrange_mixed_bounds_share_the_half_word():
         _interleave(i, ours, theirs)
 
 
-@pytest.mark.parametrize("n", [0, -3, 2**64 + 1])
+@pytest.mark.parametrize("n", [0, -3, 2**32 + 1, 2**64 + 1])
 def test_randrange_rejects_bounds_out_of_range(n):
     with pytest.raises(ValueError):
         RngStream(0).randrange(n)
