@@ -94,9 +94,17 @@ class Agent:
 
     def to_obj(self) -> dict:
         """Plain-dict form: a checkpoint's per-agent record, less the slot."""
+        return self._record(self.genome.to_obj())
+
+    def to_json(self) -> str:
+        """``to_json(self.to_obj())``, with the genome's text from its topology."""
+        head, tail = to_json(self._record(0)).split('"genome":0', 1)
+        return f'{head}"genome":{self.genome.to_json()}{tail}'
+
+    def _record(self, genome) -> dict:
         return {
             "fitness": None if math.isnan(self.fitness) else self.fitness,
-            "genome": self.genome.to_obj(),
+            "genome": genome,
             "standardizer": _standardizer_to_obj(self.standardizer),
         }
 
@@ -418,14 +426,15 @@ def save_checkpoint(pop: Population, cfg: EvolutionConfig, records) -> bytes:
     """Encode a run as the JSON of ``{"config", "generation", "master_seed",
     "agents": [{"slot", **agent.to_obj()}, ...], "records"}``. A duplicate is
     its survivor's object until ``variation``, so each distinct agent is coded
-    once and its text after the opening brace written at each of its slots."""
+    once (:meth:`Agent.to_json`) and its text after the opening brace written
+    at each of its slots."""
     with _gc_paused():
         distinct = {id(a): a for a in pop.agents}
-        bodies = {key: to_json(a.to_obj())[1:] for key, a in distinct.items()}
+        bodies = {key: a.to_json()[1:] for key, a in distinct.items()}
         agents = ",".join(f'{{"slot":{i},{bodies[id(a)]}' for i, a in enumerate(pop.agents))
         head = to_json({"config": asdict(cfg), "generation": pop.generation,
                         "master_seed": cfg.master_seed})[:-1]
-        tail = to_json([asdict(r) for r in records])
+        tail = to_json([vars(r) for r in records])  # a record's fields, in order
         payload = f'{head},"agents":[{agents}],"records":{tail}}}'.encode()
         return netgraph.encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, payload)
 
@@ -433,9 +442,11 @@ def save_checkpoint(pop: Population, cfg: EvolutionConfig, records) -> bytes:
 def load_checkpoint(data: bytes):
     """Decode checkpoint bytes into ``(population, config, records)``.
 
-    Each value must have its exact JSON type and the config every field. The
-    file's top-level seed must be its config's, each agent record's slot its
-    position, and its records the generations ``0 .. generation - 1``.
+    Each value must have its exact JSON type, each float be finite, and the
+    config have every field. The file's top-level seed must be its config's,
+    each agent record's slot its position, and its records the generations
+    ``0 .. generation - 1``. Frozen genomes of equal structure share one
+    topology, so a static population's is built once.
     """
     with _gc_paused():
         obj = netgraph.decode_framed(
@@ -456,6 +467,9 @@ def load_checkpoint(data: bytes):
                     raise ValueError(f"agent record {i} names slot {rec['slot']!r}")
             agents = [Agent.from_obj(rec) for rec in obj["agents"]]
             _check_agents_fit(agents, cfg)
+            shared = {}
+            for agent in agents:  # frozen genomes of equal structure share one topology
+                agent.genome.topology(shared)
             pop = Population(agents, exact(obj["generation"], int, "generation"))
             for i, rec in enumerate(obj["records"]):
                 for f in fields(RunRecord):

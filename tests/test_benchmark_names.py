@@ -6,7 +6,9 @@ patches functions such as ``DynamicNet.forward``, ``Agent.clone`` and
 ``evolution.run_episode_set`` by name. Outside the tracer,
 ``workloads.static_resume`` wraps ``cli.run_evolution`` and ``probe.py``
 replaces ``evolution.variation``; those patches work only while the program
-looks each name up as a module global at call time. Renaming or removing
+looks each name up as a module global at call time. ``netgraph.serialize``
+in a trace counts the ``elite.bin`` writes only while ``cmd_evolve`` codes
+the elite through ``DynamicNet.serialize``. Renaming or removing
 one of them breaks the benchmark, and this check shows it within a second.
 """
 
@@ -55,3 +57,15 @@ def test_benchmark_imports_and_patches_resolve(monkeypatch, tmp_path):
     with pytest.raises(_Reached):  # run_evolution reads evolution.variation when it runs
         dynevo.evolution.run_evolution(
             dynevo.evolution.EvolutionConfig("CartPole-v1", population_size=2, generations=1))
+
+
+def test_evolve_writes_the_elite_through_serialize(monkeypatch, tmp_path):
+    import dynevo.cli
+    import dynevo.netgraph
+
+    monkeypatch.setattr(dynevo.netgraph.DynamicNet, "serialize", _reached)
+    with pytest.raises(_Reached):  # cmd_evolve codes elite.bin with DynamicNet.serialize
+        dynevo.cli.main(["evolve", "--task", "CartPole-v1", "--pop", "2", "--gens", "1",
+                         "--workers", "1", "--out", str(tmp_path / "run")])
+    assert (tmp_path / "run" / "ckpt_1.bin").exists()
+    assert not (tmp_path / "run" / "elite.bin").exists()

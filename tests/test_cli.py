@@ -397,6 +397,24 @@ def test_invalid_genome_in_checkpoint_is_error_line(tmp_path, invalid_checkpoint
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["test", "resume"])
+def test_non_finite_output_biases_are_error_line(tmp_path, resumable, command):
+    """``json`` writes and reads NaN; a checkpoint holding one is refused."""
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(resumable.read_bytes(), *frame, CheckpointFormatError, "checkpoint")
+    for node in obj["agents"][0]["genome"]["nodes"]:
+        if node["kind"] == "output":
+            node["bias"] = float("nan")
+    path = tmp_path / "nan.bin"
+    path.write_bytes(encode_framed(*frame, obj))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_reading_commands(path, tmp_path)[command])
+    assert str(exc.value).startswith("error:")
+    assert "corrupt checkpoint: malformed genome object: node bias must be finite, got nan" in (
+        str(exc.value))
+    assert not (tmp_path / "r").exists()
+
+
 def test_export_dot_invalid_genome_file_is_error_line(tmp_path):
     from dynevo import RngStream, new_minimal
 

@@ -371,8 +371,8 @@ def test_checkpoint_codes_each_distinct_agent_once(mode, generations, monkeypatc
         "records": [dataclasses.asdict(r) for r in records],
     }
     coded = []
-    to_obj = Agent.to_obj
-    monkeypatch.setattr(Agent, "to_obj", lambda self: coded.append(self) or to_obj(self))
+    to_json = Agent.to_json
+    monkeypatch.setattr(Agent, "to_json", lambda self: coded.append(self) or to_json(self))
     blob = save_checkpoint(pop, cfg, records)
     assert [id(a) for a in coded] == [id(a) for a in pop.agents[:2]]
     assert blob == encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, whole)
@@ -451,6 +451,59 @@ def test_checkpoint_rejects_mistyped_run_records(edit, reason):
     with pytest.raises(CheckpointFormatError) as exc:
         load_checkpoint(encode_framed(*frame, obj))
     assert str(exc.value) == f"corrupt checkpoint: {reason}"
+
+
+# A value no run writes, so its text marks one place in a checkpoint.
+MARK = 0.123456789
+
+
+def _mark_output_bias(pop, records):
+    genome = pop.agents[0].genome
+    genome.nodes[genome.output_ids[0]].bias = MARK
+
+
+def _mark_weight(pop, records):
+    node = next(n for n in pop.agents[0].genome.nodes.values() if n.inputs)
+    node.inputs[next(iter(node.inputs))] = MARK
+
+
+def _mark_fitness(pop, records):
+    pop.agents[0].fitness = MARK
+
+
+def _mark_mean(pop, records):
+    pop.agents[0].standardizer.mean[1] = MARK
+
+
+def _mark_m2(pop, records):
+    pop.agents[0].standardizer.m2[2] = MARK
+
+
+def _mark_record(pop, records):
+    records[0] = dataclasses.replace(records[0], median_fitness=MARK)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("mark,reason", [
+    (_mark_output_bias, "malformed genome object: node bias must be finite"),
+    (_mark_weight, "malformed genome object: a weight is not finite"),
+    (_mark_fitness, "agent fitness must be finite"),
+    (_mark_mean, "standardizer mean must be finite"),
+    (_mark_m2, "standardizer m2 must be finite"),
+    (_mark_record, "record 0 field median_fitness must be finite"),
+])
+def test_checkpoint_rejects_non_finite_floats(literal, mark, reason):
+    """``json`` reads each literal as a non-finite float; none may load."""
+    cfg = small_cfg(task="Pendulum-v1", population_size=4, generations=1)
+    pop, records = run_evolution(cfg)
+    for i, agent in enumerate(pop.agents):
+        pop.agents[i] = agent.clone()  # slot 2 no longer holds slot 0's agent
+    mark(pop, records)
+    data = save_checkpoint(pop, cfg, records)
+    assert data.count(repr(MARK).encode()) == 1
+    with pytest.raises(CheckpointFormatError) as exc:
+        load_checkpoint(data.replace(repr(MARK).encode(), literal.encode()))
+    assert str(exc.value).startswith(f"corrupt checkpoint: {reason}")
 
 
 def test_checkpoint_rejects_corruption():

@@ -21,6 +21,7 @@ RUNS = [
     ("MountainCarContinuous-v0", "dynamic"),
     ("Pendulum-v1", "dynamic"),
     ("CartPole-v1", "static"),
+    ("Pendulum-v1", "static"),
 ]
 SEEDS = (0, 1)
 
@@ -73,6 +74,14 @@ PINS = {
     "CartPole-v1/static/1": (
         "fe477080d9e1916e9be05fbf1d56c6bbdd1f13979e40cc6384aabb886a10550c",
         "2f540a08a6ef820ccd5d246177e748b22e44953badce0857759be59d98ef1e6d",
+    ),
+    "Pendulum-v1/static/0": (
+        "1e919f43e5b89e111ecdac6d6aaf5cd0f4bbde7b1937b0aa80b752f94eadd675",
+        "1cf5aca4189b8b2196f2f8aec2973032f507f9444ba5164cdc0eec34f0c4fdfa",
+    ),
+    "Pendulum-v1/static/1": (
+        "d51efeb3faa3fdd12cdc8ca99edc5852b3349a705875d064573875b8ba016859",
+        "95790a8c19668660bca0b4832165d4d368e276e50b9a848c3c3c717d0ce530c1",
     ),
 }
 

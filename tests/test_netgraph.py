@@ -258,6 +258,22 @@ def test_from_obj_rejects_invalid_genome(edit):
         DynamicNet.deserialize(data)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("where", ["bias", "weight"])
+def test_from_obj_rejects_non_finite_parameter(literal, where):
+    """``json`` reads each literal as a non-finite float."""
+    net = new_minimal(2, 1)
+    net.grow_node(RngStream(0))  # inputs -> hidden 3 -> output 2
+    mark = 0.123456789
+    if where == "bias":
+        net.nodes[3].bias = mark
+    else:
+        net.nodes[3].inputs[next(iter(net.nodes[3].inputs))] = mark
+    text = net.to_json().replace(repr(mark), literal)
+    with pytest.raises(GenomeFormatError, match="^malformed genome object: .*finite"):
+        DynamicNet.deserialize(encode_framed(GENOME_MAGIC, GENOME_VERSION, text.encode()))
+
+
 def test_copy_of_static_perturbs_alone():
     net = build_static(4, 2)
     twin = net.copy()
@@ -300,11 +316,11 @@ def test_reset_state_zeroed():
     for _ in range(20):
         net.mutate(rng)
     state = net.reset_state()
-    # one previous-pass slot per node: inputs first, then non-input nodes
-    assert len(state.prev) == net.node_count()
-    assert all(v == 0.0 for v in state.prev)
+    # one slot per node: inputs first, then non-input nodes
+    assert len(state.cur) == net.node_count()
+    assert all(v == 0.0 for v in state.cur)
     net.forward(state, [1.0, 1.0])
-    assert all(v == 0.0 for v in net.reset_state().prev)
+    assert all(v == 0.0 for v in net.reset_state().cur)
 
 
 def test_grow_connection_saturated_noop():
