@@ -97,7 +97,7 @@ class Agent:
         return self._record(self.genome.to_obj())
 
     def to_json(self) -> str:
-        """``to_json(self.to_obj())``, with the genome's text from its topology."""
+        """``to_json(self.to_obj())``, with the genome's text from :meth:`DynamicNet.to_json`."""
         head, tail = to_json(self._record(0)).split('"genome":0', 1)
         return f'{head}"genome":{self.genome.to_json()}{tail}'
 
@@ -430,13 +430,18 @@ def save_checkpoint(pop: Population, cfg: EvolutionConfig, records) -> bytes:
     at each of its slots."""
     with _gc_paused():
         distinct = {id(a): a for a in pop.agents}
-        bodies = {key: a.to_json()[1:] for key, a in distinct.items()}
-        agents = ",".join(f'{{"slot":{i},{bodies[id(a)]}' for i, a in enumerate(pop.agents))
+        bodies = {key: a.to_json()[1:].encode() for key, a in distinct.items()}
         head = to_json({"config": asdict(cfg), "generation": pop.generation,
                         "master_seed": cfg.master_seed})[:-1]
         tail = to_json([vars(r) for r in records])  # a record's fields, in order
-        payload = f'{head},"agents":[{agents}],"records":{tail}}}'.encode()
-        return netgraph.encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, payload)
+        # The frame's header precedes the payload, so framing the payload's
+        # first part and joining the rest once copies each agent's text once.
+        parts = [netgraph.encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                        f'{head},"agents":['.encode())]
+        for i, a in enumerate(pop.agents):
+            parts += (b"," if i else b"", b'{"slot":%d,' % i, bodies[id(a)])
+        parts.append(f'],"records":{tail}}}'.encode())
+        return b"".join(parts)
 
 
 def load_checkpoint(data: bytes):
@@ -446,7 +451,7 @@ def load_checkpoint(data: bytes):
     config have every field. The file's top-level seed must be its config's,
     each agent record's slot its position, and its records the generations
     ``0 .. generation - 1``. Frozen genomes of equal structure share one
-    topology, so a static population's is built once.
+    topology, so a static population's text template is built once.
     """
     with _gc_paused():
         obj = netgraph.decode_framed(
@@ -469,7 +474,8 @@ def load_checkpoint(data: bytes):
             _check_agents_fit(agents, cfg)
             shared = {}
             for agent in agents:  # frozen genomes of equal structure share one topology
-                agent.genome.topology(shared)
+                if agent.genome.architecture_frozen:
+                    agent.genome.topology(shared)
             pop = Population(agents, exact(obj["generation"], int, "generation"))
             for i, rec in enumerate(obj["records"]):
                 for f in fields(RunRecord):

@@ -134,15 +134,89 @@ class MutationOutcome:
     info: dict = field(default_factory=dict)
 
 
-class Topology:
-    """A genome's structure without its parameters, and what derives from it.
+class PassState:
+    """Forward-pass plan and activations for a batch of genomes, one per row.
 
-    It holds the structure, and builds each derived part on first use: the
-    counts, the genome's text template, the one-row forward plan that
-    :class:`PassState` tiles over rows, and the DOT text. Parameters are
-    read in the order of :meth:`DynamicNet.parameters`.
-    :meth:`DynamicNet.topology` builds a frozen genome's topology once and
-    its copies share it. Topologies are equal when their structures are.
+    Row ``r`` evaluates ``nets[r]``; one genome may fill several rows. The
+    whole batch is compiled in one pass into one block-diagonal plan over a
+    buffer laid out as ``[cur | 1.0]``: every node's value, and a constant
+    one that bias edges read. Input ``d`` of row ``r`` sits at slot
+    ``d * rows + r``, so ``inputs`` is a ``(d_input, rows)`` view that one
+    assignment fills. Non-input nodes follow, grouped by layer index across
+    all rows, each row's in id order.
+
+    Each layer runs as one ``np.bincount`` over its edges. A node's bias
+    comes first, as an edge from the constant-one slot (``0 + b*1 == b``),
+    followed by its ``inputs`` in order; ``bincount`` accumulates in input
+    order, so every sum is formed exactly as ``bias + w_1*x_1 + ...``. The
+    layers run in order and each reads all its sources before it writes,
+    so a source in a lower layer gives this pass's value, and one in the
+    same or a higher layer of its genome, not yet computed in this pass,
+    gives the previous pass's.
+    """
+
+    def __init__(self, nets):
+        d_in, rows = nets[0].d_input, len(nets)
+        # layers[L][r]: row r's layer-L nodes, in id order as the nodes dict keeps them.
+        layers = [[[] for _ in nets] for _ in range(max(net.layer_count for net in nets))]
+        for r, net in enumerate(nets):
+            for node in islice(net.nodes.values(), d_in, None):
+                layers[node.layer][r].append(node)
+        # Slots of layer L are starts[L] .. starts[L + 1] - 1.
+        slots = [{d: d * rows + r for d in range(d_in)} for r in range(rows)]
+        starts = [0, d_in * rows]
+        for layer in layers[1:]:
+            k = starts[-1]
+            for slot, nodes in zip(slots, layer):
+                slot.update((node.id, k + i) for i, node in enumerate(nodes))
+                k += len(nodes)
+            starts.append(k)
+        n = starts[-1]
+        self.buf = np.zeros(n + 1)
+        self.buf[n] = 1.0  # the bias edges' source
+        self.cur = self.buf[:n]
+        self.inputs = self.buf[: d_in * rows].reshape(d_in, rows)
+
+        self.layers = []
+        for layer, lo, hi in zip(layers[1:], starts[1:], starts[2:]):
+            src, w, fan_in = [], [], []
+            for slot, nodes in zip(slots, layer):
+                for node in nodes:
+                    src.append(n)  # the bias edge
+                    src += map(slot.__getitem__, node.inputs)
+                    w.append(node.bias)
+                    w += node.inputs.values()
+                    fan_in.append(len(node.inputs) + 1)
+            src = np.array(src, dtype=np.intp)
+            dst = np.repeat(np.arange(hi - lo), fan_in)
+            self.layers.append((src, np.array(w, dtype=float), dst, self.buf[lo:hi]))
+        self.out_slots = np.array([[slot[o] for slot in slots] for o in nets[0].output_ids])
+
+    def reset(self) -> None:
+        """Zero every node: the next step starts a fresh episode."""
+        self.cur[...] = 0.0
+
+    def step(self) -> np.ndarray:
+        """One pass over every row, reading ``inputs``; returns ``(d_output, rows)``.
+
+        ReLU is ``fmax(acc, 0.0)``, which equals ``acc if acc > 0.0 else 0.0``
+        bit for bit: a NaN sum becomes 0.0, and ``bincount`` sums start from
+        +0.0, so no sum is -0.0.
+        """
+        buf = self.buf
+        for src, w, dst, out in self.layers:
+            np.fmax(np.bincount(dst, weights=w * buf[src], minlength=len(out)), 0.0, out=out)
+        return buf[self.out_slots]
+
+
+class Topology:
+    """A frozen genome's structure without its parameters, and its text template.
+
+    A frozen genome's structure cannot change, so :meth:`DynamicNet.topology`
+    builds its topology once and every copy shares it. Topologies are equal
+    when their structures are, so the frozen genomes of a checkpoint can share
+    one (:func:`~dynevo.evolution.load_checkpoint`). Parameters are read in
+    the order of :meth:`DynamicNet.parameters`.
     """
 
     def __init__(self, net: "DynamicNet"):
@@ -157,21 +231,6 @@ class Topology:
 
     def __hash__(self) -> int:
         return hash((self.head, self.nodes))
-
-    def __getstate__(self) -> dict:
-        """A pool worker reads the plan, not the text or the DOT: those stay behind."""
-        return {k: v for k, v in self.__dict__.items() if k not in ("_text", "dot")}
-
-    @cached_property
-    def connection_count(self) -> int:
-        return sum(len(ins) for _, _, _, ins, _ in self.nodes)
-
-    @cached_property
-    def param_count(self) -> int:
-        return sum(len(ins) + 1 for _, kind, _, ins, _ in self.nodes if kind != INPUT)
-
-    # ------------------------------------------------------------------
-    # genome text
 
     @cached_property
     def _text(self):
@@ -194,158 +253,15 @@ class Topology:
         return "%r".join(parts[::2]), itemgetter(*map(int, parts[1::2]))
 
     def text(self, params) -> str:
-        """``to_json(net.to_obj())`` of the genome ``net`` of this structure
-        whose :meth:`DynamicNet.parameters` are ``params``.
-
-        ``%r`` writes a float as ``json`` does, except a non-finite one, which
-        ``json`` could not read back as written; it raises ``ValueError``.
-        """
-        if not all_finite(params):
-            raise ValueError("cannot encode a genome with a non-finite parameter")
+        """``to_json(net.to_obj())`` of the genome ``net`` of this structure whose
+        :meth:`DynamicNet.parameters` are ``params``, all finite (``%r`` writes
+        a float as ``json`` does, except a non-finite one)."""
         template, pick = self._text
         return template % pick(params)
-
-    # ------------------------------------------------------------------
-    # forward plan
-
-    @cached_property
-    def plan(self):
-        """One row's forward plan, ``(key, src, fan_in)``.
-
-        Local slots number the nodes in id order, so input ``d`` is slot
-        ``d``; the slot after the last node is the constant one that bias
-        edges read. ``key`` orders the slots of a batch (:class:`PassState`):
-        input ``d`` has ``d - d_input``, a node in layer ``L`` has ``L - 1``,
-        and the one comes last. Each non-input node, in id order, has
-        ``fan_in`` edges: its bias edge, then its inputs in order. ``src``
-        holds each edge's source slot; the edges are the parameters past the
-        inputs' biases, in order.
-        """
-        d_in = self.head[0]
-        one = len(self.nodes)
-        slot = dict(zip(map(itemgetter(0), self.nodes), range(one)))
-        key, src, fan_in = list(range(-d_in, 0)), [], []
-        for _, _, layer, ins, _ in self.nodes[d_in:]:
-            key.append(layer - 1)
-            src.append(one)
-            src += map(slot.__getitem__, ins)
-            fan_in.append(1 + len(ins))
-        key.append(_ONE_KEY)
-        columns = np.array(key + src + fan_in, dtype=np.intp)
-        e = len(key) + len(src)
-        return columns[: len(key)], columns[len(key) : e], columns[e:]
-
-    # ------------------------------------------------------------------
-    # DOT export
-
-    @cached_property
-    def dot(self) -> str:
-        """Graphviz digraph; recurrent edges are dashed, layers ranked."""
-        lines = ["digraph dynamic_net {", "  rankdir=LR;",
-                 "  node [shape=circle];"]
-        shapes = {INPUT: " [shape=box]", HIDDEN: "", OUTPUT: " [shape=doublecircle]"}
-        for layer in range(self.head[2]):
-            decls = " ".join(f"n{nid}{shapes[kind]};" for nid, kind, at, _, _ in self.nodes
-                             if at == layer)
-            lines.append("  { rank=same; " + decls + " }")
-        layer_of = {nid: layer for nid, _, layer, _, _ in self.nodes}
-        for src, dst in sorted((s, nid) for nid, _, _, ins, _ in self.nodes for s in ins):
-            style = " [style=dashed]" if layer_of[src] >= layer_of[dst] else ""
-            lines.append(f"  n{src} -> n{dst}{style};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # A parameter's mark in a genome's text: JSON writes the string "\0<k>" as "\u0000<k>".
 _MARK = re.compile(r'"\\u0000(\d+)"')
-
-# Sorts each row's constant-one slot after every node of a batch.
-_ONE_KEY = np.iinfo(np.intp).max
-
-
-class PassState:
-    """Forward-pass plan and activations for a batch of genomes, one per row.
-
-    Row ``r`` evaluates ``nets[r]``; one genome may fill several rows. The
-    batch's plan is one block-diagonal plan over a buffer laid out as
-    ``[cur | ones]``: every node's value, and a constant one per row that
-    bias edges read. Input ``d`` of row ``r``
-    sits at slot ``d * rows + r``, so ``inputs`` is a ``(d_input, rows)``
-    view that one assignment fills. Non-input nodes follow, grouped by
-    layer index across all rows, each row's in id order. The plan tiles
-    the rows' one-row plans (:attr:`Topology.plan`), so a topology that
-    frozen genomes share is walked once per run; only the parameters are
-    gathered per genome.
-
-    Each layer runs as one ``np.bincount`` over its edges. A node's bias
-    comes first, as an edge from a constant-one slot (``0 + b*1 == b``),
-    followed by its ``inputs`` in order; ``bincount`` accumulates in input
-    order, so every sum is formed exactly as ``bias + w_1*x_1 + ...``. The
-    layers run in order and each reads all its sources before it writes,
-    so a source in a lower layer gives this pass's value, and one in the
-    same or a higher layer of its genome, not yet computed in this pass,
-    gives the previous pass's.
-    """
-
-    def __init__(self, nets):
-        d_in, d_out, rows = nets[0].d_input, nets[0].d_output, len(nets)
-        topologies = {key: net.topology() for key, net in {id(net): net for net in nets}.items()}
-        plans = [topologies[id(net)].plan for net in nets]
-        params = []  # each row's edge weights, in its plan's edge order
-        for net in nets:
-            params += net.parameters()[d_in:]
-        params = np.array(params, dtype=float)
-        key, src, fan_in = (np.concatenate(column) for column in zip(*plans))
-
-        # The rows' local slots, one row after another, sorted stably by key
-        # give the buffer: the inputs by index, then by row; each layer's
-        # nodes, row by row; then each row's one.
-        to_slot = np.empty_like(key)
-        to_slot[np.argsort(key, kind="stable")] = np.arange(len(key))
-        n = len(key) - rows
-        row_len = np.array([len(plan[0]) for plan in plans])
-        row_start = np.cumsum(row_len) - row_len
-        node = (key >= 0) & (key < _ONE_KEY)  # the non-input nodes, in ``fan_in`` order
-        node_key = key[node]
-        edge_key = np.repeat(node_key, fan_in)
-        src = to_slot[src + np.repeat(np.repeat(row_start, row_len)[node], fan_in)]
-        by_layer = np.argsort(edge_key, kind="stable")
-        src, w, edge_key = src[by_layer], params[by_layer], edge_key[by_layer]
-        by_layer = np.argsort(node_key, kind="stable")
-        fan_in, node_key = fan_in[by_layer], node_key[by_layer]
-        # Sorted node i is node i - first of its layer's block, where first
-        # is the position of the layer's first node.
-        dst = np.repeat(np.arange(len(node_key)) - np.searchsorted(node_key, node_key), fan_in)
-        layers = np.arange(node_key[-1] + 2)  # every genome has an output node
-        edge_bounds = np.searchsorted(edge_key, layers)
-        node_bounds = d_in * rows + np.searchsorted(node_key, layers)
-
-        self.buf = np.zeros(n + rows)
-        self.buf[n:] = 1.0
-        self.cur = self.buf[:n]
-        self.inputs = self.buf[: d_in * rows].reshape(d_in, rows)
-        self.layers = [
-            (src[a:b], w[a:b], dst[a:b], self.buf[lo:hi])
-            for a, b, lo, hi in zip(edge_bounds, edge_bounds[1:], node_bounds, node_bounds[1:])
-        ]
-        # The outputs are the nodes after the inputs in id order.
-        self.out_slots = to_slot[row_start + np.arange(d_in, d_in + d_out)[:, None]]
-
-    def reset(self) -> None:
-        """Zero every node: the next step starts a fresh episode."""
-        self.cur[...] = 0.0
-
-    def step(self) -> np.ndarray:
-        """One pass over every row, reading ``inputs``; returns ``(d_output, rows)``.
-
-        ReLU is ``fmax(acc, 0.0)``, which equals ``acc if acc > 0.0 else 0.0``
-        bit for bit: a NaN sum becomes 0.0, and ``bincount`` sums start from
-        +0.0, so no sum is -0.0.
-        """
-        buf = self.buf
-        for src, w, dst, out in self.layers:
-            np.fmax(np.bincount(dst, weights=w * buf[src], minlength=len(out)), 0.0, out=out)
-        return buf[self.out_slots]
 
 
 class DynamicNet:
@@ -395,14 +311,14 @@ class DynamicNet:
         return list(self.nodes)[self.d_input :]
 
     def connection_count(self) -> int:
-        return self.topology().connection_count
+        return sum(len(n.inputs) for n in self.nodes.values())
 
     def node_count(self) -> int:
         return len(self.nodes)
 
     def param_count(self) -> int:
         """One weight per connection plus one bias per non-input node."""
-        return self.topology().param_count
+        return sum(len(n.inputs) + 1 for n in self.nodes.values() if n.kind != INPUT)
 
     def parameters(self) -> list[float]:
         """Every bias and weight: nodes in id order, each node's bias, then its
@@ -414,16 +330,14 @@ class DynamicNet:
         return params
 
     def topology(self, shared: dict | None = None) -> Topology:
-        """This genome's structure, and what derives from it.
+        """This frozen genome's structure, built once and kept.
 
-        A frozen genome's structure cannot change, so its topology is built
-        once and kept; its copies share it, and with ``shared``, a dict
-        mapping each topology to itself, so does every genome built with the
-        same dict whose structure is equal. A mutable genome's topology is
-        built afresh on each call.
+        Its copies share it, and with ``shared``, a dict mapping each topology
+        to itself, so does every genome built with the same dict whose
+        structure is equal. An evolving genome has none: its structure changes.
         """
         if not self.architecture_frozen:
-            return Topology(self)
+            raise ValueError("an evolving genome has no fixed topology")
         if self._topology is None:
             topo = Topology(self)
             self._topology = topo if shared is None else shared.setdefault(topo, topo)
@@ -634,10 +548,9 @@ class DynamicNet:
         node its bias first, then its input weights in order. Exactly
         ``param_count()`` normals are consumed.
         """
-        nodes = list(islice(self.nodes.values(), self.d_input, None))
-        deltas = rng.normal_array(len(nodes) + sum(len(node.inputs) for node in nodes))
+        deltas = rng.normal_array(self.param_count())
         i = 0
-        for node in nodes:
+        for node in islice(self.nodes.values(), self.d_input, None):
             inputs = node.inputs
             node.bias += sigma * deltas[i]
             for src, delta in zip(inputs, deltas[i + 1 : i + 1 + len(inputs)]):
@@ -797,8 +710,16 @@ class DynamicNet:
         return net
 
     def to_json(self) -> str:
-        """``to_json(self.to_obj())``, filled in from the topology's template."""
-        return self.topology().text(self.parameters())
+        """``to_json(self.to_obj())``; a frozen genome's is filled into its
+        topology's template. ``json`` would write a non-finite parameter as
+        ``NaN`` or ``Infinity``, which :meth:`from_obj` refuses, so it raises
+        ``ValueError``."""
+        params = self.parameters()
+        if not all_finite(params):
+            raise ValueError("cannot encode a genome with a non-finite parameter")
+        if not self.architecture_frozen:
+            return to_json(self.to_obj())
+        return self.topology().text(params)
 
     def serialize(self) -> bytes:
         return encode_framed(GENOME_MAGIC, GENOME_VERSION, self.to_json().encode())
@@ -809,9 +730,24 @@ class DynamicNet:
             decode_framed(data, GENOME_MAGIC, GENOME_VERSION, GenomeFormatError, "genome")
         )
 
+    # ------------------------------------------------------------------
+    # DOT export
+
     def to_dot(self) -> str:
         """Graphviz digraph; recurrent edges are dashed, layers ranked."""
-        return self.topology().dot
+        lines = ["digraph dynamic_net {", "  rankdir=LR;",
+                 "  node [shape=circle];"]
+        shapes = {INPUT: " [shape=box]", HIDDEN: "", OUTPUT: " [shape=doublecircle]"}
+        for layer in range(self.layer_count):
+            decls = " ".join(f"n{n.id}{shapes[n.kind]};" for n in self.nodes.values()
+                             if n.layer == layer)
+            lines.append("  { rank=same; " + decls + " }")
+        for src, dst in sorted((s, n.id) for n in self.nodes.values() for s in n.inputs):
+            recurrent = self.nodes[src].layer >= self.nodes[dst].layer
+            style = " [style=dashed]" if recurrent else ""
+            lines.append(f"  n{src} -> n{dst}{style};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def new_minimal(d_input: int, d_output: int) -> DynamicNet:

@@ -1,5 +1,5 @@
-"""A genome's topology: built once for a frozen genome and shared, and the
-one source of its text, its forward plan, its DOT text and its counts."""
+"""A frozen genome's topology: built once and shared, and the source of its
+text; and the genome text, which equals ``to_json(to_obj())`` for every genome."""
 
 import dataclasses
 import math
@@ -118,28 +118,33 @@ def test_copies_of_a_static_genome_share_one_topology():
     assert len({id(a.genome.topology()) for a in pop.agents}) == 1
 
 
-def test_pickled_copies_share_one_topology_and_leave_text_behind():
-    """Pool shards pickle genomes; the worker needs the plan only."""
+def test_pickled_copies_share_one_topology():
     net = build_static(3, 1)
     net.perturb_parameters(RngStream(2), 0.1)
-    text, dot, plan = net.to_json(), net.to_dot(), net.topology().plan
+    text, dot = net.to_json(), net.to_dot()
     shard = pickle.loads(pickle.dumps([net, net.copy()]))
     topology = shard[0].topology()
     assert shard[1].topology() is topology
-    assert "_text" not in vars(topology) and "dot" not in vars(topology)
-    assert all(np.array_equal(a, b) for a, b in zip(vars(topology)["plan"], plan))
+    assert topology == net.topology()
     assert shard[0].to_json() == text and shard[1].to_dot() == dot
 
 
-def test_a_mutable_genome_builds_a_fresh_topology_on_each_use():
+def test_an_evolving_genome_has_no_topology():
     net = _walk(4, 20)
-    assert net.topology() is not net.topology()
-    assert net.topology() == net.topology()
-    before = net.topology()
-    net.mutate(RngStream(9))
-    assert net.topology() != before
-    assert net.param_count() == sum(len(n.inputs) + 1 for n in net.nodes.values()
-                                    if n.kind != "input")
+    with pytest.raises(ValueError, match="no fixed topology"):
+        net.topology()
+    twin = build_static(3, 1).copy()
+    twin.architecture_frozen = False  # a stale topology must not be used
+    with pytest.raises(ValueError, match="no fixed topology"):
+        twin.topology()
+    assert twin.to_json() == to_json(twin.to_obj())
+
+
+def test_loaded_evolving_agents_build_no_topology():
+    cfg = EvolutionConfig("CartPole-v1", mode="dynamic", population_size=6, generations=2)
+    pop, records = run_evolution(cfg)
+    loaded, _, _ = load_checkpoint(save_checkpoint(pop, cfg, records))
+    assert all("_topology" not in vars(a.genome) for a in loaded.agents)
 
 
 def test_loaded_frozen_agents_share_one_topology():
@@ -171,7 +176,7 @@ def test_frozen_genomes_of_different_structure_load_with_their_own_topologies():
 
 
 # ----------------------------------------------------------------------
-# the forward plan
+# the forward pass of a shared-topology batch
 
 
 def _bits(a):
@@ -193,18 +198,13 @@ def test_pass_state_over_shared_topology_matches_per_genome_compiles():
     rows = nets + [nets[0]]
     assert len({id(net.topology()) for net in rows}) == 1
     alone = [PassState([net]) for net in rows]
-    mutable = []
-    for net in rows:  # each with its own topology, built from its own nodes
-        twin = net.copy()
-        twin.architecture_frozen = False
-        mutable.append(PassState([twin]))
     batch = PassState(rows)
     rng = RngStream(21)
     for _ in range(6):
         x = rng.uniform(-3.0, 3.0, (d_in, len(rows)))
         batch.inputs[...] = x
         got = batch.step()
-        for r, (one, own) in enumerate(zip(alone, mutable)):
-            one.inputs[:, 0] = own.inputs[:, 0] = x[:, r]
-            assert _bits(one.step()[:, 0]) == _bits(got[:, r]) == _bits(own.step()[:, 0])
+        for r, one in enumerate(alone):
+            one.inputs[:, 0] = x[:, r]
+            assert _bits(one.step()[:, 0]) == _bits(got[:, r])
     assert len({_bits(got[:, r]) for r in range(len(rows))}) > 2
