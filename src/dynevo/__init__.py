@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .netgraph import (  # noqa: F401
     DynamicNet,
+    FrozenNet,
     MutationOutcome,
     PassState,
     build_static,

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netgraph import DynamicNet, PassState
+from .netgraph import Genome, PassState
 from .rng import RngStream
 
 TWO_PI = 2.0 * math.pi
@@ -529,7 +529,7 @@ def _decode_rows(out, space):
 
 
 def run_episode_set(
-    net: DynamicNet,
+    net: Genome,
     spec: EnvSpec,
     standardizer: RunningStandardizer | None,
     episode_seeds,

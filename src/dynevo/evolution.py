@@ -19,6 +19,7 @@ round trip per shard, in contiguous shards on pool workers
 """
 
 import gc
+import marshal
 import math
 import numbers
 import os
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass, fields
 from . import netgraph
 from .envs import EnvSpec, RunningStandardizer, get_spec, run_episode_batch
 from .envs import run_episode_set  # noqa: F401  (perfbench/tracer.py patches this name)
-from .netgraph import DynamicNet, exact, to_json
+from .netgraph import DynamicNet, Genome, exact, to_json
 from .rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_streams
 from .rng import derive_stream  # noqa: F401  (perfbench/tracer.py patches this name)
 
@@ -88,7 +89,7 @@ class EvolutionConfig:
 class Agent:
     """One member of a population; its slot is its position in ``Population.agents``."""
 
-    genome: DynamicNet
+    genome: Genome
     standardizer: RunningStandardizer
     fitness: float = math.nan
 
@@ -97,7 +98,7 @@ class Agent:
         return self._record(self.genome.to_obj())
 
     def to_json(self) -> str:
-        """``to_json(self.to_obj())``, with the genome's text from :meth:`DynamicNet.to_json`."""
+        """``to_json(self.to_obj())``, with the genome's text from its ``to_json()``."""
         head, tail = to_json(self._record(0)).split('"genome":0', 1)
         return f'{head}"genome":{self.genome.to_json()}{tail}'
 
@@ -450,8 +451,11 @@ def load_checkpoint(data: bytes):
     Each value must have its exact JSON type, each float be finite, and the
     config have every field. The file's top-level seed must be its config's,
     each agent record's slot its position, and its records the generations
-    ``0 .. generation - 1``. Frozen genomes of equal structure share one
-    topology, so a static population's text template is built once.
+    ``0 .. generation - 1``. Records equal but for their slot are decoded
+    once, into one agent, as :func:`save_checkpoint` coded them;
+    :func:`variation` copies it before it changes. Frozen genomes of equal
+    structure share one topology, so a static population's text template
+    and plan arrays are built once.
     """
     with _gc_paused():
         obj = netgraph.decode_framed(
@@ -467,15 +471,22 @@ def load_checkpoint(data: bytes):
             if exact(obj["master_seed"], int, "master_seed") != cfg.master_seed:
                 raise ValueError(f"master_seed {obj['master_seed']!r} differs from the "
                                  f"config's {cfg.master_seed}")
+            agents, decoded, shared = [], {}, {}
             for i, rec in enumerate(obj["agents"]):
                 if exact(rec["slot"], int, f"agent record {i} slot") != i:
                     raise ValueError(f"agent record {i} names slot {rec['slot']!r}")
-            agents = [Agent.from_obj(rec) for rec in obj["agents"]]
+                body = {k: v for k, v in rec.items() if k != "slot"}
+                # marshal's version 2 writes each value with its exact type and,
+                # for a float, its bits, where == takes 1 for 1.0 and 0.0 for -0.0.
+                key = marshal.dumps(body, 2)
+                agent = decoded.get(key)
+                if agent is None:
+                    agent = decoded[key] = Agent.from_obj(body)
+                    genome = agent.genome
+                    if genome.topology is not None:  # equal structures share one
+                        genome.topology = shared.setdefault(genome.topology, genome.topology)
+                agents.append(agent)
             _check_agents_fit(agents, cfg)
-            shared = {}
-            for agent in agents:  # frozen genomes of equal structure share one topology
-                if agent.genome.architecture_frozen:
-                    agent.genome.topology(shared)
             pop = Population(agents, exact(obj["generation"], int, "generation"))
             for i, rec in enumerate(obj["records"]):
                 for f in fields(RunRecord):

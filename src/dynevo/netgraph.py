@@ -10,6 +10,11 @@ within the same forward pass; a connection to the same or a lower layer
 (including self-loops) delivers the source's activation from the previous
 pass.
 
+A genome comes in two kinds. An evolving genome, :class:`DynamicNet`, keeps
+its nodes and their weights, and mutates. A frozen genome,
+:class:`FrozenNet`, cannot change its structure, so it keeps only its run's
+shared :class:`Topology` and one float64 vector of its parameters.
+
 Structural conventions
 ----------------------
 - Node ids come from a monotone per-genome counter and are never reused.
@@ -28,8 +33,8 @@ import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from operator import itemgetter
+from itertools import groupby, islice
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -138,12 +143,17 @@ class PassState:
     """Forward-pass plan and activations for a batch of genomes, one per row.
 
     Row ``r`` evaluates ``nets[r]``; one genome may fill several rows. The
-    whole batch is compiled in one pass into one block-diagonal plan over a
-    buffer laid out as ``[cur | 1.0]``: every node's value, and a constant
-    one that bias edges read. Input ``d`` of row ``r`` sits at slot
-    ``d * rows + r``, so ``inputs`` is a ``(d_input, rows)`` view that one
-    assignment fills. Non-input nodes follow, grouped by layer index across
-    all rows, each row's in id order.
+    whole batch is compiled into one block-diagonal plan over a buffer laid
+    out as ``[cur | 1.0]``: every node's value, and a constant one that bias
+    edges read. Input ``d`` of row ``r`` sits at slot ``d * rows + r``, so
+    ``inputs`` is a ``(d_input, rows)`` view that one assignment fills.
+    Non-input nodes follow, grouped by layer index across all rows, each
+    row's in id order.
+
+    Consecutive rows of one kind compile together: evolving rows node by
+    node, and frozen rows of one topology from its per-run index arrays
+    (:attr:`Topology.plan`), with one gather per layer from their stacked
+    weight vectors. Both give the same plan.
 
     Each layer runs as one ``np.bincount`` over its edges. A node's bias
     comes first, as an edge from the constant-one slot (``0 + b*1 == b``),
@@ -157,19 +167,35 @@ class PassState:
 
     def __init__(self, nets):
         d_in, rows = nets[0].d_input, len(nets)
-        # layers[L][r]: row r's layer-L nodes, in id order as the nodes dict keeps them.
-        layers = [[[] for _ in nets] for _ in range(max(net.layer_count for net in nets))]
-        for r, net in enumerate(nets):
-            for node in islice(net.nodes.values(), d_in, None):
-                layers[node.layer][r].append(node)
-        # Slots of layer L are starts[L] .. starts[L + 1] - 1.
-        slots = [{d: d * rows + r for d in range(d_in)} for r in range(rows)]
-        starts = [0, d_in * rows]
-        for layer in layers[1:]:
+        depth = max(net.layer_count for net in nets)
+        # (topology, nets, layers, slots) per run of rows; an evolving run has no
+        # topology, and layers[L][i] holds its row i's layer-L nodes in id order.
+        runs, r = [], 0
+        for topology, run in groupby(nets, attrgetter("topology")):
+            run = list(run)
+            layers = slots = None
+            if topology is None:
+                layers = [[[] for _ in run] for _ in range(depth)]
+                for i, net in enumerate(run):
+                    for node in islice(net.nodes.values(), d_in, None):
+                        layers[node.layer][i].append(node)
+                slots = [{d: d * rows + row for d in range(d_in)}
+                         for row in range(r, r + len(run))]
+            runs.append((topology, run, layers, slots))
+            r += len(run)
+        # Slots of layer L are starts[L] .. starts[L + 1] - 1, run after run;
+        # run j's begin at firsts[j][L - 1].
+        starts, firsts = [0, d_in * rows], [[] for _ in runs]
+        for L in range(1, depth):
             k = starts[-1]
-            for slot, nodes in zip(slots, layer):
-                slot.update((node.id, k + i) for i, node in enumerate(nodes))
-                k += len(nodes)
+            for (topology, run, layers, slots), first in zip(runs, firsts):
+                first.append(k)
+                if topology is None:
+                    for slot, nodes in zip(slots, layers[L]):
+                        slot.update((node.id, k + i) for i, node in enumerate(nodes))
+                        k += len(nodes)
+                elif L < topology.layer_count:
+                    k += len(run) * topology.plan[0][L]
             starts.append(k)
         n = starts[-1]
         self.buf = np.zeros(n + 1)
@@ -177,20 +203,46 @@ class PassState:
         self.cur = self.buf[:n]
         self.inputs = self.buf[: d_in * rows].reshape(d_in, rows)
 
+        pieces = [[] for _ in range(depth - 1)]  # per layer, each run's (src, w, fan_in)
+        out_slots = []  # each row's outputs, row after row
+        r = 0
+        for (topology, run, layers, slots), first in zip(runs, firsts):
+            if topology is None:
+                for layer, piece in zip(layers[1:], pieces):
+                    src, w, fan_in = [], [], []
+                    for slot, nodes in zip(slots, layer):
+                        for node in nodes:
+                            src.append(n)  # the bias edge
+                            src += map(slot.__getitem__, node.inputs)
+                            w.append(node.bias)
+                            w += node.inputs.values()
+                            fan_in.append(len(node.inputs) + 1)
+                    piece.append((np.array(src, dtype=np.intp), np.array(w, dtype=float),
+                                  np.array(fan_in, dtype=np.intp)))
+                outputs = run[0].output_ids
+                out_slots += [slot[o] for slot in slots for o in outputs]
+            else:
+                sizes, plan = topology.plan
+                weights = np.array([net.weights for net in run])
+                # Row r's source in layer M at position p: slot p * rows + r for an
+                # input, first[M - 1] + p otherwise; the bias edges read slot n.
+                origin = np.array([r, *first[: len(sizes) - 1], n])
+                scale = np.array([rows] + [1] * (len(sizes) - 1) + [0])
+                ahead = np.arange(len(run))[:, None]  # rows past the run's first
+                for (layer, pos, stride, param, fan_in), piece in zip(plan, pieces):
+                    src = origin[layer] + pos * scale[layer] + ahead * stride
+                    piece.append((src.ravel(), weights[:, param].ravel(),
+                                  np.tile(fan_in, len(run))))
+                # The last layer holds exactly the outputs, in id order.
+                last = first[len(sizes) - 2]
+                out_slots += range(last, last + len(run) * sizes[-1])
+            r += len(run)
+
         self.layers = []
-        for layer, lo, hi in zip(layers[1:], starts[1:], starts[2:]):
-            src, w, fan_in = [], [], []
-            for slot, nodes in zip(slots, layer):
-                for node in nodes:
-                    src.append(n)  # the bias edge
-                    src += map(slot.__getitem__, node.inputs)
-                    w.append(node.bias)
-                    w += node.inputs.values()
-                    fan_in.append(len(node.inputs) + 1)
-            src = np.array(src, dtype=np.intp)
-            dst = np.repeat(np.arange(hi - lo), fan_in)
-            self.layers.append((src, np.array(w, dtype=float), dst, self.buf[lo:hi]))
-        self.out_slots = np.array([[slot[o] for slot in slots] for o in nets[0].output_ids])
+        for piece, lo, hi in zip(pieces, starts[1:], starts[2:]):
+            src, w, fan_in = piece[0] if len(piece) == 1 else map(np.concatenate, zip(*piece))
+            self.layers.append((src, w, np.repeat(np.arange(hi - lo), fan_in), self.buf[lo:hi]))
+        self.out_slots = np.array(out_slots).reshape(rows, -1).T.copy()
 
     def reset(self) -> None:
         """Zero every node: the next step starts a fresh episode."""
@@ -210,64 +262,161 @@ class PassState:
 
 
 class Topology:
-    """A frozen genome's structure without its parameters, and its text template.
+    """A frozen genome's structure without its parameters, built once per run.
 
-    A frozen genome's structure cannot change, so :meth:`DynamicNet.topology`
-    builds its topology once and every copy shares it. Topologies are equal
-    when their structures are, so the frozen genomes of a checkpoint can share
-    one (:func:`~dynevo.evolution.load_checkpoint`). Parameters are read in
-    the order of :meth:`DynamicNet.parameters`.
+    :func:`build_static` builds one and every copy of its genome shares it;
+    topologies are equal when their structures are, so the frozen genomes of
+    a checkpoint share one (:func:`~dynevo.evolution.load_checkpoint`).
+    Parameters are read in the order of :meth:`DynamicNet.parameters`:
+    nodes in id order, each node's bias, then its inputs' weights.
     """
 
     def __init__(self, net: "DynamicNet"):
-        self.head = (net.d_input, net.d_output, net.layer_count, net.architecture_frozen,
-                     net.next_id)
+        self.head = self.d_input, self.d_output, self.layer_count, self.next_id = (
+            net.d_input, net.d_output, net.layer_count, net.next_id)
         # (id, kind, layer, input ids, out ids) per node, in id order.
         self.nodes = tuple((n.id, n.kind, n.layer, tuple(n.inputs), tuple(n.out_ids))
                            for n in net.nodes.values())
+        self.node_count = len(self.nodes)
+        self.connection_count = net.connection_count()
+        self.param_count = net.param_count()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Topology) and (self.head, self.nodes) == (other.head, other.nodes)
+        return self is other or (isinstance(other, Topology)
+                                 and (self.head, self.nodes) == (other.head, other.nodes))
 
     def __hash__(self) -> int:
         return hash((self.head, self.nodes))
 
-    @cached_property
-    def _text(self):
-        """``(template, pick)``: :meth:`DynamicNet.to_obj`'s :func:`to_json` text
-        with ``%r`` at each parameter, and the getter of the parameters in
-        text order. Each parameter is marked by a string naming its position
-        in :meth:`DynamicNet.parameters`."""
-        marked = DynamicNet.__new__(DynamicNet)
-        (marked.d_input, marked.d_output, marked.layer_count, marked.architecture_frozen,
-         marked.next_id) = self.head
-        marked.nodes = {}
-        marks = [f"\0{k}" for k in range(sum(len(ins) + 1 for _, _, _, ins, _ in self.nodes))]
+    def graph(self, params) -> "DynamicNet":
+        """A new evolving genome of this structure whose parameters are ``params``."""
+        net = DynamicNet.__new__(DynamicNet)
+        net.d_input, net.d_output, net.layer_count, net.next_id = self.head
+        net.nodes = {}
         k = 0
         for nid, kind, layer, ins, outs in self.nodes:
-            node = marked.nodes[nid] = Node(nid, kind, layer, marks[k])
-            node.inputs = dict(zip(ins, marks[k + 1 : k + 1 + len(ins)]))
+            node = net.nodes[nid] = Node(nid, kind, layer, params[k])
+            node.inputs = dict(zip(ins, params[k + 1 : k + 1 + len(ins)]))
             node.out_ids = list(outs)
             k += 1 + len(ins)
-        parts = _MARK.split(to_json(marked.to_obj()).replace("%", "%%"))
+        return net
+
+    def to_obj(self, params) -> dict:
+        """:meth:`FrozenNet.to_obj` of the genome of this structure whose
+        parameters are ``params``."""
+        obj = self.graph(params).to_obj()
+        obj["architecture_frozen"] = True
+        return obj
+
+    @cached_property
+    def _text(self):
+        """``(template, pick)``: :meth:`to_obj`'s :func:`to_json` text with ``%r``
+        at each parameter, and the getter of the parameters in text order. Each
+        parameter is marked by a string naming its position."""
+        marks = [f"\0{k}" for k in range(self.d_input + self.param_count)]
+        parts = _MARK.split(to_json(self.to_obj(marks)).replace("%", "%%"))
         return "%r".join(parts[::2]), itemgetter(*map(int, parts[1::2]))
 
     def text(self, params) -> str:
-        """``to_json(net.to_obj())`` of the genome ``net`` of this structure whose
-        :meth:`DynamicNet.parameters` are ``params``, all finite (``%r`` writes
+        """``to_json(self.to_obj(params))`` for finite ``params`` (``%r`` writes
         a float as ``json`` does, except a non-finite one)."""
         template, pick = self._text
         return template % pick(params)
+
+    @cached_property
+    def plan(self):
+        """``(sizes, layers)``: the node count of each layer, and per non-input
+        layer the index arrays that :class:`PassState` compiles a run of rows
+        from. They are ``(layer, pos, stride, param, fan_in)``, one entry per
+        edge (a node's bias edge, then its inputs in order, nodes in id order)
+        but ``fan_in``, one per node. An edge reads position ``pos`` of layer
+        ``layer`` of its row, or the bias slot at layer -1; the same source
+        of the run's next row lies ``stride`` slots on. ``param`` indexes its
+        weight in the parameter vector."""
+        sizes, where = [0] * self.layer_count, {}
+        for nid, _, layer, _, _ in self.nodes:
+            where[nid] = layer, sizes[layer]
+            sizes[layer] += 1
+        # Inputs interleave the rows; each later layer holds a row's block after another.
+        step = [1, *sizes[1:]]
+        layers = [([], [], [], [], []) for _ in sizes]
+        k = 0
+        for _, _, layer, ins, _ in self.nodes:
+            if layer:
+                src_layer, pos, stride, param, fan_in = layers[layer]
+                src_layer.append(-1)
+                pos.append(0)
+                stride.append(0)
+                for src in ins:
+                    m, p = where[src]
+                    src_layer.append(m)
+                    pos.append(p)
+                    stride.append(step[m])
+                param += range(k, k + 1 + len(ins))
+                fan_in.append(1 + len(ins))
+            k += 1 + len(ins)
+        return sizes, [tuple(np.array(a, dtype=np.intp) for a in arrays)
+                       for arrays in layers[1:]]
 
 
 # A parameter's mark in a genome's text: JSON writes the string "\0<k>" as "\u0000<k>".
 _MARK = re.compile(r'"\\u0000(\d+)"')
 
 
-class DynamicNet:
-    """The genome: nodes, weighted connections and layer structure."""
+class Genome:
+    """What both genome kinds share: the one-row forward pass and the text.
 
-    _topology = None  # a frozen genome's, once built; see topology()
+    An evolving genome is a :class:`DynamicNet`, its nodes and their weights.
+    A frozen one is a :class:`FrozenNet`, its run's shared :class:`Topology`
+    and one vector of its parameters.
+    """
+
+    topology = None  # a frozen genome's structure
+
+    @property
+    def input_ids(self) -> list[int]:
+        return list(range(self.d_input))
+
+    @property
+    def output_ids(self) -> list[int]:
+        # Input and output nodes are created first, in order, and never
+        # deleted, so their ids are fixed. Output order == creation order.
+        return list(range(self.d_input, self.d_input + self.d_output))
+
+    def reset_state(self) -> PassState:
+        """Start an episode: the one-row plan of this genome, zeroed.
+
+        The plan is compiled from the current parameters, so edits take
+        effect at the next ``reset_state()``.
+        """
+        return PassState([self])
+
+    def forward(self, state: PassState, inputs) -> list[float]:
+        """One network pass; returns output activations in creation order."""
+        if len(inputs) != self.d_input:
+            raise ValueError(
+                f"expected {self.d_input} inputs, got {len(inputs)}"
+            )
+        state.inputs[:, 0] = inputs
+        return state.step()[:, 0].tolist()
+
+    def to_json(self) -> str:
+        """``to_json(self.to_obj())``. ``json`` would write a non-finite
+        parameter as ``NaN`` or ``Infinity``, which :meth:`DynamicNet.from_obj`
+        refuses, so it raises ``ValueError``."""
+        params = self.parameters()
+        if not all_finite(params):
+            raise ValueError("cannot encode a genome with a non-finite parameter")
+        return self._text(params)
+
+    def serialize(self) -> bytes:
+        return encode_framed(GENOME_MAGIC, GENOME_VERSION, self.to_json().encode())
+
+
+class DynamicNet(Genome):
+    """An evolving genome: nodes, weighted connections and layer structure."""
+
+    architecture_frozen = False
 
     def __init__(self, d_input: int, d_output: int):
         if d_input < 1 or d_output < 1:
@@ -276,7 +425,6 @@ class DynamicNet:
         self.d_output = d_output
         self.nodes: dict[int, Node] = {}
         self.layer_count = 2
-        self.architecture_frozen = False
         self.next_id = 0
         for _ in range(d_input):
             self._new_node(INPUT, 0)
@@ -291,16 +439,6 @@ class DynamicNet:
         self.nodes[node.id] = node
         self.next_id += 1
         return node
-
-    @property
-    def input_ids(self) -> list[int]:
-        return list(range(self.d_input))
-
-    @property
-    def output_ids(self) -> list[int]:
-        # Input and output nodes are created first, in order, and never
-        # deleted, so their ids are fixed. Output order == creation order.
-        return list(range(self.d_input, self.d_input + self.d_output))
 
     # The nodes dict is in ascending id order (validate() checks it), and the
     # inputs, then the outputs, hold the lowest ids: id lists need no sort.
@@ -328,20 +466,6 @@ class DynamicNet:
             params.append(node.bias)
             params += node.inputs.values()
         return params
-
-    def topology(self, shared: dict | None = None) -> Topology:
-        """This frozen genome's structure, built once and kept.
-
-        Its copies share it, and with ``shared``, a dict mapping each topology
-        to itself, so does every genome built with the same dict whose
-        structure is equal. An evolving genome has none: its structure changes.
-        """
-        if not self.architecture_frozen:
-            raise ValueError("an evolving genome has no fixed topology")
-        if self._topology is None:
-            topo = Topology(self)
-            self._topology = topo if shared is None else shared.setdefault(topo, topo)
-        return self._topology
 
     # ------------------------------------------------------------------
     # sampling sets
@@ -407,7 +531,6 @@ class DynamicNet:
         (repeated on collision, up to 16 attempts), then one normal for
         the new weight.
         """
-        self._check_mutable()
         recv = self.receiving_nodes()
         targets = self.non_input_ids()
         for _ in range(GROW_CONNECTION_ATTEMPTS):
@@ -420,7 +543,6 @@ class DynamicNet:
 
     def prune_connection(self, rng: RngStream) -> MutationOutcome:
         """Delete one connection, sampled uniformly via the emitting list."""
-        self._check_mutable()
         emitting = self.emitting_list()
         if not emitting:
             raise ValueError("prune_connection requires at least one connection")
@@ -446,7 +568,6 @@ class DynamicNet:
         The node lands one layer past the first node, towards the third;
         a fresh layer is inserted when no hidden layer exists there.
         """
-        self._check_mutable()
         recv = self.receiving_nodes()
         if len(recv) < 2:
             raise ValueError("grow_node requires at least two receiving nodes")
@@ -479,7 +600,6 @@ class DynamicNet:
 
     def prune_node(self, rng: RngStream) -> MutationOutcome:
         """Delete a uniformly sampled hidden node and its connections."""
-        self._check_mutable()
         hidden = self.hidden_ids()
         if not hidden:
             raise ValueError("prune_node requires at least one hidden node")
@@ -523,7 +643,6 @@ class DynamicNet:
 
     def mutate(self, rng: RngStream, init_sigma: float = 1.0) -> MutationOutcome:
         """Apply one mutation, sampled uniformly among the applicable ones."""
-        self._check_mutable()
         choices = self.applicable_mutations()
         kind = choices[rng.randrange(len(choices))]
         if kind == "grow_connection":
@@ -533,10 +652,6 @@ class DynamicNet:
         if kind == "grow_node":
             return self.grow_node(rng, init_sigma)
         return self.prune_node(rng)
-
-    def _check_mutable(self) -> None:
-        if self.architecture_frozen:
-            raise ValueError("architecture is frozen; mutations are disabled")
 
     # ------------------------------------------------------------------
     # parameters
@@ -556,26 +671,6 @@ class DynamicNet:
             for src, delta in zip(inputs, deltas[i + 1 : i + 1 + len(inputs)]):
                 inputs[src] += sigma * delta
             i += 1 + len(inputs)
-
-    # ------------------------------------------------------------------
-    # forward pass
-
-    def reset_state(self) -> PassState:
-        """Start an episode: the one-row plan of this genome, zeroed.
-
-        The plan is compiled from the current graph, so edits to nodes,
-        weights or biases take effect at the next ``reset_state()``.
-        """
-        return PassState([self])
-
-    def forward(self, state: PassState, inputs) -> list[float]:
-        """One network pass; returns output activations in creation order."""
-        if len(inputs) != self.d_input:
-            raise ValueError(
-                f"expected {self.d_input} inputs, got {len(inputs)}"
-            )
-        state.inputs[:, 0] = inputs
-        return state.step()[:, 0].tolist()
 
     # ------------------------------------------------------------------
     # validation
@@ -660,13 +755,16 @@ class DynamicNet:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "DynamicNet":
-        """Parse a genome read from disk; it must pass :meth:`validate`."""
+    def from_obj(cls, obj: dict) -> Genome:
+        """Parse a genome read from disk. Its node graph must pass :meth:`validate`;
+        a frozen genome is then returned as a :class:`FrozenNet`."""
         try:
             net = cls.__new__(cls)
-            for name, kind in (("d_input", int), ("d_output", int), ("layer_count", int),
-                               ("architecture_frozen", bool), ("next_id", int)):
-                setattr(net, name, exact(obj[name], kind, name))
+            head = {name: exact(obj[name], kind, name)
+                    for name, kind in (("d_input", int), ("d_output", int), ("layer_count", int),
+                                       ("architecture_frozen", bool), ("next_id", int))}
+            frozen = head.pop("architecture_frozen")
+            vars(net).update(head)
             net.nodes = {}
             for rec in obj["nodes"]:
                 node = Node(exact(rec["id"], int, "node id"), exact(rec["kind"], str, "node kind"),
@@ -698,9 +796,10 @@ class DynamicNet:
         except AssertionError as exc:
             raise GenomeFormatError(f"invalid genome: {exc}") from exc
         # Every bias passed exact(); a valid genome has a float for every weight.
-        if not all_finite(net.parameters()):
+        params = net.parameters()
+        if not all_finite(params):
             raise GenomeFormatError("malformed genome object: a weight is not finite")
-        return net
+        return FrozenNet(Topology(net), np.array(params)) if frozen else net
 
     def copy(self) -> "DynamicNet":
         """Independent copy, field for field (the in-memory clone path)."""
@@ -709,23 +808,11 @@ class DynamicNet:
         net.nodes = {nid: node.copy() for nid, node in self.nodes.items()}
         return net
 
-    def to_json(self) -> str:
-        """``to_json(self.to_obj())``; a frozen genome's is filled into its
-        topology's template. ``json`` would write a non-finite parameter as
-        ``NaN`` or ``Infinity``, which :meth:`from_obj` refuses, so it raises
-        ``ValueError``."""
-        params = self.parameters()
-        if not all_finite(params):
-            raise ValueError("cannot encode a genome with a non-finite parameter")
-        if not self.architecture_frozen:
-            return to_json(self.to_obj())
-        return self.topology().text(params)
-
-    def serialize(self) -> bytes:
-        return encode_framed(GENOME_MAGIC, GENOME_VERSION, self.to_json().encode())
+    def _text(self, params) -> str:
+        return to_json(self.to_obj())
 
     @classmethod
-    def deserialize(cls, data: bytes) -> "DynamicNet":
+    def deserialize(cls, data: bytes) -> Genome:
         return cls.from_obj(
             decode_framed(data, GENOME_MAGIC, GENOME_VERSION, GenomeFormatError, "genome")
         )
@@ -750,12 +837,68 @@ class DynamicNet:
         return "\n".join(lines) + "\n"
 
 
+class FrozenNet(Genome):
+    """A frozen genome: its run's shared :class:`Topology` and ``weights``, one
+    float64 vector of its parameters in :meth:`DynamicNet.parameters` order.
+    It keeps no nodes; :meth:`graph` builds them."""
+
+    architecture_frozen = True
+
+    def __init__(self, topology: Topology, weights: np.ndarray):
+        self.topology = topology
+        self.weights = weights
+
+    d_input = property(lambda self: self.topology.d_input)
+    d_output = property(lambda self: self.topology.d_output)
+    layer_count = property(lambda self: self.topology.layer_count)
+
+    def node_count(self) -> int:
+        return self.topology.node_count
+
+    def connection_count(self) -> int:
+        return self.topology.connection_count
+
+    def param_count(self) -> int:
+        return self.topology.param_count
+
+    def parameters(self) -> list[float]:
+        return self.weights.tolist()
+
+    def graph(self) -> DynamicNet:
+        """This genome's nodes, as a new evolving genome."""
+        return self.topology.graph(self.parameters())
+
+    def mutate(self, rng: RngStream, init_sigma: float = 1.0) -> MutationOutcome:
+        raise ValueError("architecture is frozen; mutations are disabled")
+
+    def perturb_parameters(self, rng: RngStream, sigma: float = 0.1) -> None:
+        """:meth:`DynamicNet.perturb_parameters` on the vector: the same draws,
+        added to the non-input parameters in the same order by the same IEEE
+        multiply and add (which overflow quietly, as Python floats do)."""
+        deltas = rng.normals(self.param_count())
+        with np.errstate(all="ignore"):
+            self.weights[self.d_input :] += sigma * deltas
+
+    def copy(self) -> "FrozenNet":
+        """An independent copy; it shares the topology."""
+        return FrozenNet(self.topology, self.weights.copy())
+
+    def to_obj(self) -> dict:
+        return self.topology.to_obj(self.parameters())
+
+    def _text(self, params) -> str:
+        return self.topology.text(params)
+
+    def to_dot(self) -> str:
+        return self.graph().to_dot()
+
+
 def new_minimal(d_input: int, d_output: int) -> DynamicNet:
     """Minimal genome: input and output layers, no connections."""
     return DynamicNet(d_input, d_output)
 
 
-def build_static(d_input: int, d_output: int) -> DynamicNet:
+def build_static(d_input: int, d_output: int) -> FrozenNet:
     """Frozen baseline: [d_input, 50, 50, d_output], zero parameters.
 
     Fully connected feedforward between consecutive layers plus full
@@ -781,6 +924,4 @@ def build_static(d_input: int, d_output: int) -> DynamicNet:
     for src in h2:
         for dst in net.output_ids:
             net._add_connection(src, dst, 0.0)
-    net.architecture_frozen = True
-    net.topology()  # built once; every copy shares it
-    return net
+    return FrozenNet(Topology(net), np.array(net.parameters()))

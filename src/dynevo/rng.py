@@ -87,7 +87,11 @@ class RngStream:
 
     def normal_array(self, n: int) -> list[float]:
         """``n`` standard-normal deviates as plain floats."""
-        return self._gen.standard_normal(n).tolist()
+        return self.normals(n).tolist()
+
+    def normals(self, n: int) -> np.ndarray:
+        """The deviates of ``normal_array(n)`` as one float64 array."""
+        return self._gen.standard_normal(n)
 
     def uniform(self, low, high, size=None):
         """Uniform floats; mirrors ``Generator.uniform`` exactly.

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the package's own fast paths: the
 forward interpreter below recomputes node values straight from the node
 and weight collections with an explicit two-buffer scheme, and the audit
-recomputes every structural predicate from scratch.
+recomputes every structural predicate from scratch. A frozen genome keeps
+no nodes, so each oracle reads it through :func:`graph`, an evolving twin
+built from its ``to_obj()``.
 """
 
-from dynevo.netgraph import DynamicNet, HIDDEN, INPUT
+from dynevo.netgraph import DynamicNet, HIDDEN, INPUT, Node
 
 
 class ScriptedRng:
@@ -28,17 +30,47 @@ class ScriptedRng:
         return [self.normal() for _ in range(n)]
 
 
-def edge_weights(net: DynamicNet) -> dict:
+def graph(net) -> DynamicNet:
+    """``net``'s node graph: an evolving genome's own, or for a frozen genome
+    an evolving twin built from its ``to_obj()``."""
+    if isinstance(net, DynamicNet):
+        return net
+    obj = net.to_obj()
+    twin = DynamicNet.__new__(DynamicNet)
+    for name in ("d_input", "d_output", "layer_count", "next_id"):
+        setattr(twin, name, obj[name])
+    twin.nodes = {}
+    for rec in obj["nodes"]:
+        node = twin.nodes[rec["id"]] = Node(rec["id"], rec["kind"], rec["layer"], rec["bias"])
+        node.inputs = dict.fromkeys(rec["in"])
+    for src, dst, w in obj["connections"]:
+        twin.nodes[dst].inputs[src] = w
+        twin.nodes[src].out_ids.append(dst)
+    return twin
+
+
+def set_parameters(net, edit) -> None:
+    """Apply ``edit`` to ``net``'s node graph; a frozen genome takes the edited
+    biases and weights into its vector."""
+    twin = graph(net)
+    edit(twin)
+    if twin is not net:
+        net.weights[:] = twin.parameters()
+
+
+def edge_weights(net) -> dict:
     """Every connection as ``{(src, dst): weight}``, read from the nodes' inputs."""
+    net = graph(net)
     return {(src, n.id): w for n in net.nodes.values() for src, w in n.inputs.items()}
 
 
-def naive_forward(net: DynamicNet, prev: dict, inputs):
+def naive_forward(net, prev: dict, inputs):
     """Two-buffer reference interpreter.
 
     ``prev`` maps node id -> previous-pass activation for non-input
     nodes. Returns (outputs, new_prev).
     """
+    net = graph(net)
     cur = {}
     for i, nid in enumerate(net.input_ids):
         cur[nid] = float(inputs[i])
@@ -58,8 +90,9 @@ def naive_forward(net: DynamicNet, prev: dict, inputs):
     return [cur[nid] for nid in net.output_ids], new_prev
 
 
-def naive_rollout(net: DynamicNet, input_seqs):
+def naive_rollout(net, input_seqs):
     """Multi-step rollout through the naive interpreter."""
+    net = graph(net)
     prev = {nid: 0.0 for nid in net.non_input_ids()}
     outputs = []
     for inputs in input_seqs:
@@ -68,8 +101,9 @@ def naive_rollout(net: DynamicNet, input_seqs):
     return outputs
 
 
-def audit(net: DynamicNet):
+def audit(net):
     """From-scratch structural audit; returns a list of violations."""
+    net = graph(net)
     problems = []
     weights = edge_weights(net)
     # mutual consistency of the out-lists with the inputs

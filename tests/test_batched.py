@@ -31,7 +31,7 @@ from dynevo.evolution import (
 )
 from dynevo.rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
-from oracles import edge_weights, naive_forward
+from oracles import edge_weights, graph, naive_forward
 from reference_envs import REF_ENVS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -163,6 +163,7 @@ def _oracle_fitness(net, task, seeds, moments):
     or None when the task does not standardize.
     """
     spec = get_spec(task)
+    net = graph(net)
     total = 0.0
     for seed in seeds:
         env = REF_ENVS[task]()

@@ -359,7 +359,8 @@ def test_checkpoint_roundtrip():
 ])
 def test_checkpoint_codes_each_distinct_agent_once(mode, generations, monkeypatch):
     """Shared slots save to the bytes of a population of copies, coding each
-    distinct agent once; those bytes load to distinct agents and re-save."""
+    distinct agent once; those bytes load to one agent per distinct record,
+    shared by its slots as it was saved, and re-save."""
     cfg = small_cfg(population_size=4, generations=generations, mode=mode)
     pop, records = run_evolution(cfg)
     pop.agents[2:] = pop.agents[:2]
@@ -378,8 +379,8 @@ def test_checkpoint_codes_each_distinct_agent_once(mode, generations, monkeypatc
     assert blob == encode_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, whole)
     assert save_checkpoint(copies, cfg, records) == blob
     pop2, cfg2, records2 = load_checkpoint(blob)
-    assert len({id(a) for a in pop2.agents}) == 4
-    assert len({id(a.genome) for a in pop2.agents}) == 4
+    assert pop2.agents[2] is pop2.agents[0] and pop2.agents[3] is pop2.agents[1]
+    assert len({id(a) for a in pop2.agents}) == len({a.to_json() for a in pop.agents})
     assert save_checkpoint(pop2, cfg2, records2) == blob
 
 

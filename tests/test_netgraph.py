@@ -7,7 +7,7 @@ import pytest
 from dynevo import DynamicNet, RngStream, build_static, new_minimal
 from dynevo.netgraph import GENOME_MAGIC, GENOME_VERSION, GenomeFormatError, encode_framed
 
-from oracles import ScriptedRng, edge_weights
+from oracles import ScriptedRng, edge_weights, graph
 
 
 def test_minimal_net_shape():
@@ -77,7 +77,7 @@ def test_static_baseline_counts():
     net = build_static(4, 2)
     assert net.param_count() == 7902
     assert net.architecture_frozen
-    net.validate()
+    graph(net).validate()
     net31 = build_static(3, 1)
     assert net31.connection_count() == 7700
     assert net31.param_count() - net31.connection_count() == 101
@@ -279,7 +279,7 @@ def test_copy_of_static_perturbs_alone():
     twin = net.copy()
     twin.perturb_parameters(RngStream(3), 0.1)
     assert all(w == 0.0 for w in edge_weights(net).values())
-    assert all(n.bias == 0.0 for n in net.nodes.values())
+    assert all(n.bias == 0.0 for n in graph(net).nodes.values())
     assert any(w != 0.0 for w in edge_weights(twin).values())
     assert twin.architecture_frozen and twin.param_count() == net.param_count()
 
