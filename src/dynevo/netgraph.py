@@ -840,7 +840,7 @@ class DynamicNet(Genome):
 class FrozenNet(Genome):
     """A frozen genome: its run's shared :class:`Topology` and ``weights``, one
     float64 vector of its parameters in :meth:`DynamicNet.parameters` order.
-    It keeps no nodes; :meth:`graph` builds them."""
+    It keeps no nodes."""
 
     architecture_frozen = True
 
@@ -864,10 +864,6 @@ class FrozenNet(Genome):
     def parameters(self) -> list[float]:
         return self.weights.tolist()
 
-    def graph(self) -> DynamicNet:
-        """This genome's nodes, as a new evolving genome."""
-        return self.topology.graph(self.parameters())
-
     def mutate(self, rng: RngStream, init_sigma: float = 1.0) -> MutationOutcome:
         raise ValueError("architecture is frozen; mutations are disabled")
 
@@ -890,7 +886,7 @@ class FrozenNet(Genome):
         return self.topology.text(params)
 
     def to_dot(self) -> str:
-        return self.graph().to_dot()
+        return self.topology.graph(self.parameters()).to_dot()
 
 
 def new_minimal(d_input: int, d_output: int) -> DynamicNet:
