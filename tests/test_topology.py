@@ -30,9 +30,9 @@ from oracles import graph, set_parameters
 ODD_FLOATS = [-0.0, 5e-324, 1e-07, 1e16, 1e22, 1.7976931348623157e308]
 
 
-def _walk(seed, steps):
+def _walk(seed, steps, d_in=3):
     """A genome grown by ``steps`` mutations, with its parameters perturbed."""
-    net = new_minimal(3, 2)
+    net = new_minimal(d_in, 2)
     for i, rng in enumerate(derive_streams(seed, 0, range(steps), PURPOSE_MUTATE)):
         net.mutate(rng)
     net.perturb_parameters(RngStream(seed), 1.0)
@@ -304,13 +304,13 @@ def _perturbed_static(d_in, d_out, count):
 
 def _batches(d_in, d_out):
     nets = _perturbed_static(d_in, d_out, 32)
-    grown = [_walk(seed, 30) for seed in range(3)] if d_in == 3 else []
+    grown = [_walk(seed, 30, d_in) for seed in range(3)]
     return {
         "one frozen row": [nets[1]],
         "32 rows of one topology": nets,
         "shared rows": nets[:5] + [nets[0]],
-        "frozen and evolving rows": ([grown[0], nets[1], nets[2], grown[1], grown[1], nets[3],
-                                      nets[4], grown[2], nets[0]] if grown else nets[:3]),
+        "frozen and evolving rows": [grown[0], nets[1], nets[2], grown[1], grown[1], nets[3],
+                                     nets[4], grown[2], nets[0]],
     }
 
 
