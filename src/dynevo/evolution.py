@@ -24,6 +24,7 @@ import math
 import numbers
 import os
 import signal
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -280,17 +281,13 @@ def elite_of(pop: Population) -> Agent:
 
 
 def _record_for(pop: Population, generation: int, elapsed: float) -> RunRecord:
-    fits = sorted(a.fitness for a in pop.agents)
-    n = len(fits)
-    median = (
-        fits[n // 2] if n % 2 else 0.5 * (fits[n // 2 - 1] + fits[n // 2])
-    )
+    fits = sorted(a.fitness for a in pop.agents)  # the mean's sum order
     elite = elite_of(pop)
     return RunRecord(
         generation=generation,
         best_fitness=elite.fitness,
-        mean_fitness=sum(fits) / n,
-        median_fitness=median,
+        mean_fitness=sum(fits) / len(fits),
+        median_fitness=statistics.median(fits),
         elite_params=elite.genome.param_count(),
         elite_nodes=elite.genome.node_count(),
         elite_connections=elite.genome.connection_count(),

@@ -31,9 +31,10 @@ import json
 import math
 import re
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -145,15 +146,17 @@ class PassState:
     Row ``r`` evaluates ``nets[r]``; one genome may fill several rows. The
     whole batch is compiled into one block-diagonal plan over a buffer laid
     out as ``[cur | 1.0]``: every node's value, and a constant one that bias
-    edges read. Input ``d`` of row ``r`` sits at slot ``d * rows + r``, so
-    ``inputs`` is a ``(d_input, rows)`` view that one assignment fills.
-    Non-input nodes follow, grouped by layer index across all rows, each
-    row's in id order.
-
-    Consecutive rows of one kind compile together: evolving rows node by
-    node, and frozen rows of one topology from its per-run index arrays
-    (:attr:`Topology.plan`), with one gather per layer from their stacked
-    weight vectors. Both give the same plan.
+    edges read. Consecutive rows of one kind form a run, and each run
+    supplies a :func:`_plan` block, its weights and a copy count. A run of
+    frozen rows repeats its topology's plan once per row, with the weights
+    gathered from the rows' stacked vectors; a run of evolving rows is one
+    block of all its genomes. Each layer, the inputs included, holds run
+    after run, each run's block copy after copy, so one slot rule serves
+    every row: position ``p`` of layer ``L`` in copy ``c`` of a run is slot
+    ``origin[L] + p + c * sizes[L]``. Row ``r``'s inputs are thus slots
+    ``r * d_input`` onwards, and ``inputs`` is a transposed ``(d_input,
+    rows)`` view that one assignment fills. The output slots come from the
+    plan's output positions.
 
     Each layer runs as one ``np.bincount`` over its edges. A node's bias
     comes first, as an edge from the constant-one slot (``0 + b*1 == b``),
@@ -168,81 +171,47 @@ class PassState:
     def __init__(self, nets):
         d_in, rows = nets[0].d_input, len(nets)
         depth = max(net.layer_count for net in nets)
-        # (topology, nets, layers, slots) per run of rows; an evolving run has no
-        # topology, and layers[L][i] holds its row i's layer-L nodes in id order.
-        runs, r = [], 0
+        runs = []  # (plan, weights, copies) per run of rows
         for topology, run in groupby(nets, attrgetter("topology")):
             run = list(run)
-            layers = slots = None
             if topology is None:
-                layers = [[[] for _ in run] for _ in range(depth)]
-                for i, net in enumerate(run):
-                    for node in islice(net.nodes.values(), d_in, None):
-                        layers[node.layer][i].append(node)
-                slots = [{d: d * rows + row for d in range(d_in)}
-                         for row in range(r, r + len(run))]
-            runs.append((topology, run, layers, slots))
-            r += len(run)
+                params = chain.from_iterable(net.parameters() for net in run)
+                runs.append((_plan([net.nodes.values() for net in run], depth),
+                             np.fromiter(params, float)[None], 1))
+            else:
+                runs.append((topology.plan, np.array([net.weights for net in run]), len(run)))
         # Slots of layer L are starts[L] .. starts[L + 1] - 1, run after run;
-        # run j's begin at firsts[j][L - 1].
-        starts, firsts = [0, d_in * rows], [[] for _ in runs]
-        for L in range(1, depth):
-            k = starts[-1]
-            for (topology, run, layers, slots), first in zip(runs, firsts):
-                first.append(k)
-                if topology is None:
-                    for slot, nodes in zip(slots, layers[L]):
-                        slot.update((node.id, k + i) for i, node in enumerate(nodes))
-                        k += len(nodes)
-                elif L < topology.layer_count:
-                    k += len(run) * topology.plan[0][L]
+        # run j's begin at origins[j][L].
+        starts, origins, k = [0], [[] for _ in runs], 0
+        for L in range(depth):
+            for ((sizes, _, _), _, copies), origin in zip(runs, origins):
+                origin.append(k)
+                if L < len(sizes):
+                    k += copies * sizes[L]
             starts.append(k)
         n = starts[-1]
         self.buf = np.zeros(n + 1)
         self.buf[n] = 1.0  # the bias edges' source
         self.cur = self.buf[:n]
-        self.inputs = self.buf[: d_in * rows].reshape(d_in, rows)
+        self.inputs = self.buf[: d_in * rows].reshape(rows, d_in).T
 
         pieces = [[] for _ in range(depth - 1)]  # per layer, each run's (src, w, fan_in)
         out_slots = []  # each row's outputs, row after row
-        r = 0
-        for (topology, run, layers, slots), first in zip(runs, firsts):
-            if topology is None:
-                for layer, piece in zip(layers[1:], pieces):
-                    src, w, fan_in = [], [], []
-                    for slot, nodes in zip(slots, layer):
-                        for node in nodes:
-                            src.append(n)  # the bias edge
-                            src += map(slot.__getitem__, node.inputs)
-                            w.append(node.bias)
-                            w += node.inputs.values()
-                            fan_in.append(len(node.inputs) + 1)
-                    piece.append((np.array(src, dtype=np.intp), np.array(w, dtype=float),
-                                  np.array(fan_in, dtype=np.intp)))
-                outputs = run[0].output_ids
-                out_slots += [slot[o] for slot in slots for o in outputs]
-            else:
-                sizes, plan = topology.plan
-                weights = np.array([net.weights for net in run])
-                # Row r's source in layer M at position p: slot p * rows + r for an
-                # input, first[M - 1] + p otherwise; the bias edges read slot n.
-                origin = np.array([r, *first[: len(sizes) - 1], n])
-                scale = np.array([rows] + [1] * (len(sizes) - 1) + [0])
-                ahead = np.arange(len(run))[:, None]  # rows past the run's first
-                for (layer, pos, stride, param, fan_in), piece in zip(plan, pieces):
-                    src = origin[layer] + pos * scale[layer] + ahead * stride
-                    piece.append((src.ravel(), weights[:, param].ravel(),
-                                  np.tile(fan_in, len(run))))
-                # The last layer holds exactly the outputs, in id order.
-                last = first[len(sizes) - 2]
-                out_slots += range(last, last + len(run) * sizes[-1])
-            r += len(run)
+        for ((sizes, plan, (out_layer, out_pos)), weights, copies), origin in zip(runs, origins):
+            # Layer -1 is the bias slot n, the same for every copy.
+            origin = np.array([*origin[: len(sizes)], n])
+            stride = np.array([*sizes, 0])
+            copy = np.arange(copies)[:, None]
+            for (layer, pos, param, fan_in), piece in zip(plan, pieces):
+                src = origin[layer] + pos + copy * stride[layer]
+                piece.append((src.ravel(), weights[:, param].ravel(), np.tile(fan_in, copies)))
+            out_slots.append(origin[out_layer] + out_pos + copy * stride[out_layer])
 
         self.layers = []
         for piece, lo, hi in zip(pieces, starts[1:], starts[2:]):
             src, w, fan_in = piece[0] if len(piece) == 1 else map(np.concatenate, zip(*piece))
             self.layers.append((src, w, np.repeat(np.arange(hi - lo), fan_in), self.buf[lo:hi]))
-        self.out_slots = np.array(out_slots).reshape(rows, -1).T.copy()
+        self.out_slots = np.concatenate(out_slots, axis=None).reshape(rows, -1).T.copy()
 
     def reset(self) -> None:
         """Zero every node: the next step starts a fresh episode."""
@@ -261,6 +230,11 @@ class PassState:
         return buf[self.out_slots]
 
 
+# A node of a frozen structure, read by :func:`_plan` as it reads a :class:`Node`:
+# ``inputs`` and ``out_ids`` are tuples of ids.
+FrozenNode = namedtuple("FrozenNode", "id kind layer inputs out_ids")
+
+
 class Topology:
     """A frozen genome's structure without its parameters, built once per run.
 
@@ -274,8 +248,7 @@ class Topology:
     def __init__(self, net: "DynamicNet"):
         self.head = self.d_input, self.d_output, self.layer_count, self.next_id = (
             net.d_input, net.d_output, net.layer_count, net.next_id)
-        # (id, kind, layer, input ids, out ids) per node, in id order.
-        self.nodes = tuple((n.id, n.kind, n.layer, tuple(n.inputs), tuple(n.out_ids))
+        self.nodes = tuple(FrozenNode(n.id, n.kind, n.layer, tuple(n.inputs), tuple(n.out_ids))
                            for n in net.nodes.values())
         self.node_count = len(self.nodes)
         self.connection_count = net.connection_count()
@@ -325,38 +298,50 @@ class Topology:
 
     @cached_property
     def plan(self):
-        """``(sizes, layers)``: the node count of each layer, and per non-input
-        layer the index arrays that :class:`PassState` compiles a run of rows
-        from. They are ``(layer, pos, stride, param, fan_in)``, one entry per
-        edge (a node's bias edge, then its inputs in order, nodes in id order)
-        but ``fan_in``, one per node. An edge reads position ``pos`` of layer
-        ``layer`` of its row, or the bias slot at layer -1; the same source
-        of the run's next row lies ``stride`` slots on. ``param`` indexes its
-        weight in the parameter vector."""
-        sizes, where = [0] * self.layer_count, {}
-        for nid, _, layer, _, _ in self.nodes:
-            where[nid] = layer, sizes[layer]
-            sizes[layer] += 1
-        # Inputs interleave the rows; each later layer holds a row's block after another.
-        step = [1, *sizes[1:]]
-        layers = [([], [], [], [], []) for _ in sizes]
-        k = 0
-        for _, _, layer, ins, _ in self.nodes:
-            if layer:
-                src_layer, pos, stride, param, fan_in = layers[layer]
+        """:func:`_plan` of this structure: what :class:`PassState` repeats over a
+        run of rows of it."""
+        return _plan([self.nodes], self.layer_count)
+
+
+def _plan(genomes, depth):
+    """The batch plan of a block of genomes, each given as its nodes in id order;
+    ``depth`` is at least each genome's layer count.
+
+    Each layer holds the block's genomes one after another, each genome's nodes
+    in id order. The plan is ``(sizes, layers, outputs)``: the node count of each
+    layer, and per non-input layer ``(layer, pos, param, fan_in)``. They hold one
+    entry per edge (a node's bias edge, then its inputs in order) but
+    ``fan_in``, one per node. An edge reads position ``pos`` of layer ``layer``,
+    or the bias slot at layer -1, and its weight is entry ``param`` of the
+    block's parameters: each genome's :meth:`DynamicNet.parameters`, genome
+    after genome. ``outputs`` is ``(layer, pos)`` of each genome's outputs in
+    id order.
+    """
+    sizes = [0] * depth
+    layers = [([], [], [], []) for _ in sizes]
+    outputs, k = [], 0
+    for nodes in genomes:
+        where = {}
+        for node in nodes:
+            where[node.id] = node.layer, sizes[node.layer]
+            sizes[node.layer] += 1
+        for node in nodes:
+            ins = node.inputs
+            if node.layer:
+                src_layer, pos, param, fan_in = layers[node.layer]
                 src_layer.append(-1)
                 pos.append(0)
-                stride.append(0)
                 for src in ins:
                     m, p = where[src]
                     src_layer.append(m)
                     pos.append(p)
-                    stride.append(step[m])
                 param += range(k, k + 1 + len(ins))
                 fan_in.append(1 + len(ins))
+                if node.kind == OUTPUT:
+                    outputs.append(where[node.id])
             k += 1 + len(ins)
-        return sizes, [tuple(np.array(a, dtype=np.intp) for a in arrays)
-                       for arrays in layers[1:]]
+    return (sizes, [tuple(np.array(a, dtype=np.intp) for a in arrays) for arrays in layers[1:]],
+            tuple(np.array(a, dtype=np.intp) for a in zip(*outputs)))
 
 
 # A parameter's mark in a genome's text: JSON writes the string "\0<k>" as "\u0000<k>".

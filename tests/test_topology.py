@@ -23,7 +23,7 @@ from dynevo.envs import get_spec
 from dynevo.netgraph import DynamicNet, decode_framed, encode_framed, to_json
 from dynevo.rng import PURPOSE_MUTATE, derive_streams
 
-from oracles import graph, set_parameters
+from oracles import graph, naive_rollout, set_parameters
 
 # Floats whose shortest repr is unusual: a negative zero, the smallest
 # subnormal, and the points where repr switches to and from exponent form.
@@ -302,43 +302,62 @@ def _perturbed_static(d_in, d_out, count):
     return nets
 
 
+def _shallow(d_in, d_out):
+    """A 2-layer genome: the minimal one with three connections grown."""
+    net = new_minimal(d_in, d_out)
+    for rng in derive_streams(9, 0, range(3), PURPOSE_MUTATE):
+        net.grow_connection(rng)
+    net.perturb_parameters(RngStream(9), 1.0)
+    return net
+
+
 def _batches(d_in, d_out):
     nets = _perturbed_static(d_in, d_out, 32)
     grown = [_walk(seed, 30, d_in) for seed in range(3)]
+    shallow, deep = _shallow(d_in, d_out), [_walk(4, 40, d_in), _walk(5, 80, d_in)]
+    assert shallow.layer_count == 2 and shallow.connection_count() == 3
+    assert min(net.layer_count for net in deep) > nets[0].layer_count
     return {
         "one frozen row": [nets[1]],
         "32 rows of one topology": nets,
         "shared rows": nets[:5] + [nets[0]],
         "frozen and evolving rows": [grown[0], nets[1], nets[2], grown[1], grown[1], nets[3],
                                      nets[4], grown[2], nets[0]],
+        "evolving rows of different depths": [nets[5], nets[1], shallow, deep[0], deep[1],
+                                              shallow, nets[6], nets[3]],
     }
 
 
 @pytest.mark.parametrize("batch", ["one frozen row", "32 rows of one topology", "shared rows",
-                                   "frozen and evolving rows"])
+                                   "frozen and evolving rows",
+                                   "evolving rows of different depths"])
 @pytest.mark.parametrize("d_in,d_out", [(3, 2), (4, 2)])
 def test_pass_state_over_shared_topology_matches_per_genome_compiles(batch, d_in, d_out):
     rows = _batches(d_in, d_out)[batch]
     state = PassState(rows)
-    # The node-by-node compile of the rows' evolving twins gives the same plan ...
+    # The rows' evolving twins, compiled as one block of genomes, give the same
+    # plan as the frozen runs, each compiled from its topology's plan ...
     nodewise = PassState([graph(net) for net in rows])
     for (src, w, dst, _), (src2, w2, dst2, _) in zip(state.layers, nodewise.layers, strict=True):
         assert src.dtype == src2.dtype and _bits(src) == _bits(src2)
         assert _bits(w) == _bits(w2)
         assert _bits(dst) == _bits(dst2)
     assert _bits(state.out_slots) == _bits(nodewise.out_slots)
-    # ... and each row steps as its genome alone.
+    # ... and each row steps as its genome alone, and as the naive interpreter,
+    # which compiles no plan.
     frozen = [net for net in rows if net.topology is not None]
     assert len({id(net.topology) for net in frozen}) == 1
     alone = [PassState([net]) for net in rows]
     rng = RngStream(21)
-    for _ in range(6):
-        x = rng.uniform(-3.0, 3.0, (d_in, len(rows)))
+    xs = [rng.uniform(-3.0, 3.0, (d_in, len(rows))) for _ in range(6)]
+    naive = [naive_rollout(net, [x[:, r] for x in xs]) for r, net in enumerate(rows)]
+    for t, x in enumerate(xs):
         state.inputs[...] = x
         with np.errstate(invalid="ignore"):  # inf * 0.0, as the episode runner allows
             got = state.step()
             for r, one in enumerate(alone):
                 one.inputs[:, 0] = x[:, r]
                 assert _bits(one.step()[:, 0]) == _bits(got[:, r])
+                assert _bits(np.array(naive[r][t])) == _bits(got[:, r])
     if len(rows) > 2:
         assert len({_bits(got[:, r]) for r in range(len(rows))}) > 2
