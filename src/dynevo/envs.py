@@ -572,7 +572,9 @@ def run_episode_batch(nets, spec: EnvSpec, standardizers, episode_seeds) -> list
     standardize = spec.standardize_inputs and standardizers is not None
     if standardize:
         moments = _stack_standardizers(standardizers)
-        obs = np.empty_like(inputs)
+        # C-ordered, as the moments are: ``inputs`` is a transposed view, and
+        # arithmetic that mixes the two orders is slower.
+        obs = np.empty(inputs.shape)
     total = np.zeros(rows)
     # Overflow gives inf silently, as in Python float arithmetic; rows that
     # are done keep stepping and may overflow too.

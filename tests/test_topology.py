@@ -337,12 +337,12 @@ def test_pass_state_over_shared_topology_matches_per_genome_compiles(batch, d_in
     state = PassState(rows)
     # The rows' evolving twins, compiled as one block of genomes, give the same
     # plan as the frozen runs, each compiled from its topology's plan ...
-    nodewise = PassState([graph(net) for net in rows])
-    for (src, w, dst, _), (src2, w2, dst2, _) in zip(state.layers, nodewise.layers, strict=True):
+    twins = PassState([graph(net) for net in rows])
+    for (src, w, dst, _), (src2, w2, dst2, _) in zip(state.layers, twins.layers, strict=True):
         assert src.dtype == src2.dtype and _bits(src) == _bits(src2)
         assert _bits(w) == _bits(w2)
         assert _bits(dst) == _bits(dst2)
-    assert _bits(state.out_slots) == _bits(nodewise.out_slots)
+    assert _bits(state.out_slots) == _bits(twins.out_slots)
     # ... and each row steps as its genome alone, and as the naive interpreter,
     # which compiles no plan.
     frozen = [net for net in rows if net.topology is not None]
