@@ -210,10 +210,11 @@ def cmd_evolve(args) -> int:
         write_atomic(out_dir / "elite.dot", elite.genome.to_dot().encode())
     except OSError as exc:
         raise SystemExit(f"error: cannot write run directory {out_dir}: {exc}")
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, RuntimeError) as exc:  # Ctrl-C, or evaluate's failure
         last = ("no checkpoint written" if saved is None
                 else f"last checkpoint {out_dir / f'ckpt_{saved}.bin'}")
-        raise SystemExit(f"error: interrupted at generation {reached}; {last}")
+        what = exc if isinstance(exc, RuntimeError) else f"interrupted at generation {reached}"
+        raise SystemExit(f"error: {what}; {last}")
     _log(
         f"done: {len(records)} generations recorded, elite fitness "
         f"{elite.fitness:.2f}, {elite.genome.param_count()} parameters"

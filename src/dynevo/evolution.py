@@ -72,6 +72,8 @@ class EvolutionConfig:
                     if f.type is float else type(value) is f.type):
                 raise ValueError(f"{f.name} must be {_KIND_WORDS[f.type]}, got {value!r}")
         get_spec(self.task)
+        if not 0 <= self.master_seed < 2**64:  # SeedSequence's; derive_streams wraps 2**64 to 0
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.population_size < 2 or self.population_size % 2:
             raise ValueError("population_size must be a positive even integer")
         if self.generations < 0:

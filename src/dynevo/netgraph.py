@@ -34,8 +34,8 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby, islice
-from operator import attrgetter, itemgetter
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -146,15 +146,14 @@ class PassState:
     Row ``r`` evaluates ``nets[r]``; one genome may fill several rows. The
     whole batch is compiled into one block-diagonal plan over a buffer laid
     out as ``[cur | 1.0]``: every node's value, and a constant one that bias
-    edges read. Consecutive rows of one kind form a run, and each run
-    supplies a :func:`_plan` block, its weights and a copy count. A run of
-    frozen rows repeats its topology's plan once per row, with the weights
-    gathered from the rows' stacked vectors; a run of evolving rows is one
-    block of all its genomes. Each layer, the inputs included, holds run
-    after run, each run's block copy after copy, so one slot rule serves
-    every row: position ``p`` of layer ``L`` in copy ``c`` of a run is slot
-    ``origin[L] + p + c * sizes[L]``. Row ``r``'s inputs are thus slots
-    ``r * d_input`` onwards, and ``inputs`` is a transposed ``(d_input,
+    edges read. The batch is one block, laid out by one slot rule. When every
+    row shares one topology, the block is that topology's cached :func:`_plan`,
+    copied once per row, with the weights taken from the rows' stacked
+    vectors. Otherwise it is one :func:`_plan` of every row's nodes, with all
+    rows' parameters as one row of weights. Each layer, the inputs included,
+    holds the block copy after copy, so position ``p`` of layer ``L`` in copy
+    ``c`` is slot ``starts[L] + p + c * sizes[L]``. Row ``r``'s inputs are thus
+    slots ``r * d_input`` onwards, and ``inputs`` is a transposed ``(d_input,
     rows)`` view that one assignment fills. The output slots come from the
     plan's output positions.
 
@@ -170,48 +169,36 @@ class PassState:
 
     def __init__(self, nets):
         d_in, rows = nets[0].d_input, len(nets)
-        depth = max(net.layer_count for net in nets)
-        runs = []  # (plan, weights, copies) per run of rows
-        for topology, run in groupby(nets, attrgetter("topology")):
-            run = list(run)
-            if topology is None:
-                params = chain.from_iterable(net.parameters() for net in run)
-                runs.append((_plan([net.nodes.values() for net in run], depth),
-                             np.fromiter(params, float)[None], 1))
-            else:
-                runs.append((topology.plan, np.array([net.weights for net in run]), len(run)))
-        # Slots of layer L are starts[L] .. starts[L + 1] - 1, run after run;
-        # run j's begin at origins[j][L].
-        starts, origins, k = [0], [[] for _ in runs], 0
-        for L in range(depth):
-            for ((sizes, _, _), _, copies), origin in zip(runs, origins):
-                origin.append(k)
-                if L < len(sizes):
-                    k += copies * sizes[L]
-            starts.append(k)
+        topology = nets[0].topology
+        if topology is not None and all(net.topology == topology for net in nets):
+            plan, weights, copies = topology.plan, np.array([net.weights for net in nets]), rows
+        else:
+            depth = max(net.layer_count for net in nets)
+            plan = _plan([net.nodes.values() if net.topology is None else net.topology.nodes
+                          for net in nets], depth)
+            params = chain.from_iterable(net.parameters() for net in nets)
+            weights, copies = np.fromiter(params, float)[None], 1
+        sizes, layers, (out_layer, out_pos) = plan
+        # Layer L's slots start at starts[L], copy after copy; layer -1 reads
+        # starts[-1], the bias slot n, with stride 0: the same for every copy.
+        starts, stride = np.cumsum([0, *sizes]) * copies, np.array([*sizes, 0])
         n = starts[-1]
         self.buf = np.zeros(n + 1)
         self.buf[n] = 1.0  # the bias edges' source
         self.cur = self.buf[:n]
         self.inputs = self.buf[: d_in * rows].reshape(rows, d_in).T
 
-        pieces = [[] for _ in range(depth - 1)]  # per layer, each run's (src, w, fan_in)
-        out_slots = []  # each row's outputs, row after row
-        for ((sizes, plan, (out_layer, out_pos)), weights, copies), origin in zip(runs, origins):
-            # Layer -1 is the bias slot n, the same for every copy.
-            origin = np.array([*origin[: len(sizes)], n])
-            stride = np.array([*sizes, 0])
-            copy = np.arange(copies)[:, None]
-            for (layer, pos, param, fan_in), piece in zip(plan, pieces):
-                src = origin[layer] + pos + copy * stride[layer]
-                piece.append((src.ravel(), weights[:, param].ravel(), np.tile(fan_in, copies)))
-            out_slots.append(origin[out_layer] + out_pos + copy * stride[out_layer])
-
+        copy = np.arange(copies)[:, None]
         self.layers = []
-        for piece, lo, hi in zip(pieces, starts[1:], starts[2:]):
-            src, w, fan_in = piece[0] if len(piece) == 1 else map(np.concatenate, zip(*piece))
-            self.layers.append((src, w, np.repeat(np.arange(hi - lo), fan_in), self.buf[lo:hi]))
-        self.out_slots = np.concatenate(out_slots, axis=None).reshape(rows, -1).T.copy()
+        for (layer, pos, param, fan_in), lo, hi in zip(layers, starts[1:], starts[2:]):
+            src = starts[layer] + pos + copy * stride[layer]
+            # Weights before destinations: the other order page-faults twice as
+            # often on a static batch, as the heap reuses freed blocks worse.
+            self.layers.append((src.ravel(), weights[:, param].ravel(),
+                                np.repeat(np.arange(hi - lo), np.tile(fan_in, copies)),
+                                self.buf[lo:hi]))
+        out_slots = starts[out_layer] + out_pos + copy * stride[out_layer]
+        self.out_slots = out_slots.reshape(rows, -1).T.copy()
 
     def reset(self) -> None:
         """Zero every node: the next step starts a fresh episode."""
@@ -298,8 +285,8 @@ class Topology:
 
     @cached_property
     def plan(self):
-        """:func:`_plan` of this structure: what :class:`PassState` repeats over a
-        run of rows of it."""
+        """:func:`_plan` of this structure: what :class:`PassState` copies over a
+        batch whose rows all share it."""
         return _plan([self.nodes], self.layer_count)
 
 

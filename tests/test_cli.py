@@ -274,6 +274,25 @@ def test_resume_from_checkpoint_with_wrong_config_type_is_error_line(tmp_path, r
     assert str(exc.value).startswith("error: cannot resume: corrupt checkpoint")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_seed_sequence_range_is_error_line(tmp_path, resumable, seed):
+    reason = f"master_seed must be in [0, 2**64), got {seed}"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(tmp_path / "o", seed=seed))
+    assert str(exc.value) == f"error: {reason}"
+    assert not (tmp_path / "o").exists()
+
+    frame = (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    obj = decode_framed(resumable.read_bytes(), *frame, CheckpointFormatError, "checkpoint")
+    obj["master_seed"] = obj["config"]["master_seed"] = seed
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_framed(*frame, obj))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evolve", "--workers", "1", "--resume", str(bad), "--out", str(tmp_path / "r")])
+    assert str(exc.value) == f"error: cannot resume: corrupt checkpoint: {reason}"
+    assert not (tmp_path / "r").exists()
+
+
 def _set_all_slots_zero(obj):
     for rec in obj["agents"]:
         rec["slot"] = 0
@@ -560,6 +579,52 @@ def test_interrupted_run_and_resume_lose_nothing(tmp_path, monkeypatch):
     assert [a.to_obj() for a in pop_a.agents] == [a.to_obj() for a in pop_b.agents]
     timeless = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)
     assert [timeless(r) for r in recs_a] == [timeless(r) for r in recs_b]
+
+
+def test_failed_scoring_shard_is_error_line_naming_last_checkpoint(tmp_path, monkeypatch):
+    from dynevo import evolution as ev
+
+    full, out = tmp_path / "full", tmp_path / "run"
+    run_cli(evolve_args(full, gens=6, extra=["--checkpoint-every", "2"]))
+    before = (full / "ckpt_2.bin").read_bytes()
+
+    real_evaluate_one = ev._evaluate_one
+    calls = {"n": 0, "fail_at": 0}  # the in-process shard raises on this call
+
+    def evaluate_one(payload):
+        calls["n"] += 1
+        if calls["n"] == calls["fail_at"]:
+            raise ValueError("shard lost")
+        return real_evaluate_one(payload)
+
+    monkeypatch.setattr(ev, "_evaluate_one", evaluate_one)
+    calls.update(n=0, fail_at=1)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(tmp_path / "early", gens=6, extra=["--checkpoint-every", "2"]))
+    assert str(exc.value) == ("error: generation 0: scoring slots 0-7 failed: "
+                              "ValueError: shard lost; no checkpoint written")
+
+    calls.update(n=0, fail_at=4)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(out, gens=6, extra=["--checkpoint-every", "2"]))
+    assert str(exc.value) == ("error: generation 3: scoring slots 0-7 failed: "
+                              f"ValueError: shard lost; last checkpoint {out / 'ckpt_2.bin'}")
+    assert sorted(p.name for p in out.iterdir()) == ["ckpt_2.bin", "manifest.json",
+                                                     "metrics.csv"]
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
+    pop_a, _, recs_a = load_checkpoint(before)
+    pop_b, _, recs_b = load_checkpoint((out / "ckpt_2.bin").read_bytes())
+    assert [a.to_obj() for a in pop_a.agents] == [a.to_obj() for a in pop_b.agents]
+    timeless = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)
+    assert [timeless(r) for r in recs_a] == [timeless(r) for r in recs_b]
+
+    calls["fail_at"] = 0
+    assert run_cli(["evolve", "--workers", "1", "--out", str(out),
+                    "--resume", str(out / "ckpt_2.bin")]) == 0
+    pop_a, _, _ = load_checkpoint((full / "ckpt_6.bin").read_bytes())
+    pop_b, _, _ = load_checkpoint((out / "ckpt_6.bin").read_bytes())
+    assert [a.to_obj() for a in pop_a.agents] == [a.to_obj() for a in pop_b.agents]
 
 
 # Runs the CLI with an os.replace that SIGKILLs its own process when it

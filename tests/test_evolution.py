@@ -68,6 +68,14 @@ def test_config_validation_rejects_wrong_types(field, value):
         small_cfg(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_config_validation_rejects_seed_outside_seed_sequence_range(seed):
+    # derive_streams keeps the low 64 bits, so 2**64 would repeat seed 0.
+    with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+        small_cfg(master_seed=seed).validate()
+    small_cfg(master_seed=seed % 2**64).validate()
+
+
 @pytest.mark.parametrize("field", ["perturb_sigma", "init_sigma"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 def test_config_validation_rejects_sigma_outside_zero_to_inf(field, value):

@@ -317,6 +317,12 @@ def _batches(d_in, d_out):
     shallow, deep = _shallow(d_in, d_out), [_walk(4, 40, d_in), _walk(5, 80, d_in)]
     assert shallow.layer_count == 2 and shallow.connection_count() == 3
     assert min(net.layer_count for net in deep) > nets[0].layer_count
+    # A second frozen structure, as a foreign static checkpoint may hold.
+    walked = DynamicNet.from_obj({**_walk(6, 30, d_in).to_obj(), "architecture_frozen": True})
+    others = [walked.copy() for _ in range(3)]
+    for i, net in enumerate(others):
+        net.perturb_parameters(RngStream(40 + i), 0.6)
+    assert walked.topology != nets[0].topology
     return {
         "one frozen row": [nets[1]],
         "32 rows of one topology": nets,
@@ -325,18 +331,21 @@ def _batches(d_in, d_out):
                                      nets[4], grown[2], nets[0]],
         "evolving rows of different depths": [nets[5], nets[1], shallow, deep[0], deep[1],
                                               shallow, nets[6], nets[3]],
+        "frozen rows of two topologies": [nets[7], others[0], nets[1], nets[2], others[1],
+                                          others[0], nets[8], others[2]],
     }
 
 
 @pytest.mark.parametrize("batch", ["one frozen row", "32 rows of one topology", "shared rows",
                                    "frozen and evolving rows",
-                                   "evolving rows of different depths"])
+                                   "evolving rows of different depths",
+                                   "frozen rows of two topologies"])
 @pytest.mark.parametrize("d_in,d_out", [(3, 2), (4, 2)])
 def test_pass_state_over_shared_topology_matches_per_genome_compiles(batch, d_in, d_out):
     rows = _batches(d_in, d_out)[batch]
     state = PassState(rows)
     # The rows' evolving twins, compiled as one block of genomes, give the same
-    # plan as the frozen runs, each compiled from its topology's plan ...
+    # plan as the rows, also where it copies one shared topology's plan ...
     twins = PassState([graph(net) for net in rows])
     for (src, w, dst, _), (src2, w2, dst2, _) in zip(state.layers, twins.layers, strict=True):
         assert src.dtype == src2.dtype and _bits(src) == _bits(src2)
@@ -346,7 +355,8 @@ def test_pass_state_over_shared_topology_matches_per_genome_compiles(batch, d_in
     # ... and each row steps as its genome alone, and as the naive interpreter,
     # which compiles no plan.
     frozen = [net for net in rows if net.topology is not None]
-    assert len({id(net.topology) for net in frozen}) == 1
+    assert len({id(net.topology) for net in frozen}) == (
+        2 if batch == "frozen rows of two topologies" else 1)
     alone = [PassState([net]) for net in rows]
     rng = RngStream(21)
     xs = [rng.uniform(-3.0, 3.0, (d_in, len(rows))) for _ in range(6)]
