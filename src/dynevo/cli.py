@@ -45,10 +45,8 @@ def _add_evolve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pop", type=int, default=None, help="population size (even)")
     p.add_argument("--gens", type=int, default=None, help="number of generations")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="most worker processes (default: $DYNEVO_WORKERS or 1)",
-    )
+    p.add_argument("--workers", type=int, default=None,
+                   help="most worker processes (default: 1)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
@@ -79,7 +77,7 @@ def _build_config(args):
     the file, then the base: ``EvolutionConfig``'s defaults for a fresh
     run, the checkpoint's config under ``--resume``, where the
     ``_RUN_DEFINING`` fields are always the checkpoint's. ``workers`` never
-    comes from a checkpoint; it falls back to ``$DYNEVO_WORKERS``, then 1.
+    comes from a checkpoint; its default is ``EvolutionConfig``'s, 1.
     """
     values: dict = {}
     if args.config:
@@ -117,12 +115,6 @@ def _build_config(args):
         resume = (pop, records)
     elif "task" not in values:
         raise SystemExit("error: --task is required (or provide it via --config)")
-    if "workers" not in values:
-        env = os.environ.get("DYNEVO_WORKERS", "1")
-        try:
-            values["workers"] = int(env)
-        except ValueError:
-            raise SystemExit(f"error: DYNEVO_WORKERS is not an integer: {env!r}")
     cfg = EvolutionConfig(**values)
     try:
         cfg.validate()

@@ -383,8 +383,7 @@ class AcrobotEnv(ClassicControlEnv):
     I1 = 1.0
     I2 = 1.0
     G = 9.8
-    MAX_VEL_1 = 4 * math.pi
-    MAX_VEL_2 = 9 * math.pi
+    MAX_VEL = np.array([[4 * math.pi], [9 * math.pi]])  # by velocity: link 1, link 2
     TORQUES = np.array([-1.0, 0.0, 1.0])
 
     @staticmethod
@@ -428,7 +427,7 @@ class AcrobotEnv(ClassicControlEnv):
             - phi2
         ) / (m2 * lc2**2 + i2 - _pow2(d2) / d1)
         ddtheta1 = -(d2 * ddtheta2 + phi1) / d1
-        return (dtheta1, dtheta2, ddtheta1, ddtheta2)
+        return np.array((dtheta1, dtheta2, ddtheta1, ddtheta2))
 
     @classmethod
     def advance(cls, s, action):
@@ -436,17 +435,12 @@ class AcrobotEnv(ClassicControlEnv):
         a = cls.TORQUES[action]
         dt = cls.DT
         k1 = cls._dsdt(s, a)
-        k2 = cls._dsdt([s[i] + dt / 2 * k1[i] for i in range(4)], a)
-        k3 = cls._dsdt([s[i] + dt / 2 * k2[i] for i in range(4)], a)
-        k4 = cls._dsdt([s[i] + dt * k3[i] for i in range(4)], a)
-        ns = [
-            s[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-            for i in range(4)
-        ]
-        s[0] = _wrap(ns[0], -math.pi, math.pi)
-        s[1] = _wrap(ns[1], -math.pi, math.pi)
-        s[2] = np.minimum(np.maximum(ns[2], -cls.MAX_VEL_1), cls.MAX_VEL_1)
-        s[3] = np.minimum(np.maximum(ns[3], -cls.MAX_VEL_2), cls.MAX_VEL_2)
+        k2 = cls._dsdt(s + dt / 2 * k1, a)
+        k3 = cls._dsdt(s + dt / 2 * k2, a)
+        k4 = cls._dsdt(s + dt * k3, a)
+        ns = s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s[:2] = _wrap(ns[:2], -math.pi, math.pi)
+        s[2:] = np.minimum(np.maximum(ns[2:], -cls.MAX_VEL), cls.MAX_VEL)
         terminated = -np.cos(s[0]) - np.cos(s[1] + s[0]) > 1.0
         return np.where(terminated, 0.0, -1.0), terminated
 

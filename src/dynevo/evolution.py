@@ -230,7 +230,8 @@ def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) ->
     run as one lockstep batch. One shard (always, without a pool) runs in
     this process; several each make one round trip to a pool worker. A
     failure while scoring a shard is raised as ``RuntimeError`` naming the
-    generation and the shard's slots; so is one agent held in two slots.
+    generation and the shard's slots; one agent held in two slots, or a
+    pool worker that cannot start, as one naming the generation.
     """
     g = pop.generation
     first = {}
@@ -250,7 +251,10 @@ def evaluate(pop: Population, cfg: EvolutionConfig, spec: EnvSpec, pool=None) ->
     if k == 1:
         jobs = [lambda: _evaluate_one(payloads[0])]
     else:
-        jobs = [pool.submit(_evaluate_one, payload).result for payload in payloads]
+        try:
+            jobs = [pool.submit(_evaluate_one, payload).result for payload in payloads]
+        except OSError as exc:  # a worker could not start: no fork, no descriptor
+            raise RuntimeError(f"generation {g}: cannot start pool workers: {exc}") from exc
     for start, shard, job in zip(starts, shards, jobs):
         try:
             fitnesses, standardizers = job()
@@ -324,8 +328,12 @@ def run_evolution(
     pool = None
     max_workers = min(cfg.workers, usable_cores())
     if max_workers > 1:
-        pool = ProcessPoolExecutor(max_workers=max_workers, initializer=signal.signal,
-                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
+            pool = ProcessPoolExecutor(max_workers=max_workers, initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
+        except OSError as exc:
+            raise RuntimeError(f"generation {pop.generation}: cannot start the worker pool: "
+                               f"{exc}") from exc
     try:
         while pop.generation < cfg.generations:
             start = time.perf_counter()

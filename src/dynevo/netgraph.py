@@ -534,8 +534,8 @@ class DynamicNet(Genome):
         Samples: a first node among receiving nodes, a second among
         receiving nodes minus the first, a third among hidden/output
         nodes. Consumes rng values in the order: three indices, the new
-        node's bias, then one normal per created connection
-        (first->new, second->new, new->third).
+        node's bias, then always three connection normals (first->new,
+        second->new, new->third; none of these edges exists yet).
 
         The node lands one layer past the first node, towards the third;
         a fresh layer is inserted when no hidden layer exists there.
@@ -563,8 +563,7 @@ class DynamicNet(Genome):
 
         node = self._new_node(HIDDEN, target, bias=init_sigma * rng.normal())
         for src, dst in ((first, node.id), (second, node.id), (node.id, third)):
-            if src not in self.nodes[dst].inputs:
-                self._add_connection(src, dst, init_sigma * rng.normal())
+            self._add_connection(src, dst, init_sigma * rng.normal())
         return MutationOutcome(
             "grow_node", True,
             {"new": node.id, "first": first, "second": second, "third": third},
@@ -595,10 +594,9 @@ class DynamicNet(Genome):
                     if n.kind == HIDDEN and (not n.inputs or not n.out_ids)]
             if not dead:
                 break
-            for nid in dead:
-                if nid in self.nodes:
-                    self._remove_node(nid)
-                    removed += 1
+            for nid in dead:  # removing one node deletes no other
+                self._remove_node(nid)
+            removed += len(dead)
         self._drop_empty_layers()
         return removed
 

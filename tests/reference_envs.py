@@ -136,15 +136,21 @@ class RefAcrobot:
         k4 = self._deriv(y + dt * k3)
         ns = (y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4))[:4]
         for i in (0, 1):
-            while ns[i] > np.pi:
-                ns[i] -= 2 * np.pi
-            while ns[i] < -np.pi:
-                ns[i] += 2 * np.pi
+            ns[i] = wrap_angle(ns[i])
         ns[2] = np.clip(ns[2], -4 * np.pi, 4 * np.pi)
         ns[3] = np.clip(ns[3], -9 * np.pi, 9 * np.pi)
         self.s = ns
         done = bool(-np.cos(ns[0]) - np.cos(ns[1] + ns[0]) > 1.0)
         return self.s.copy(), 0.0 if done else -1.0, done
+
+
+def wrap_angle(x):
+    """Shift ``x`` by 2*pi, one shift at a time, until it lies in [-pi, pi]."""
+    while x > np.pi:
+        x -= 2 * np.pi
+    while x < -np.pi:
+        x += 2 * np.pi
+    return x
 
 
 REF_ENVS = {

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dynevo import PassState, RngStream, build_static, new_minimal
-from dynevo.envs import Discrete, RunningStandardizer, _pow2, get_spec, run_episode_batch
+from dynevo.envs import Discrete, RunningStandardizer, _pow2, _wrap, get_spec, run_episode_batch
 from dynevo import evolution
 from dynevo.evolution import (
     EvolutionConfig,
@@ -32,7 +32,7 @@ from dynevo.evolution import (
 from dynevo.rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
 from oracles import edge_weights, graph, naive_forward
-from reference_envs import REF_ENVS
+from reference_envs import REF_ENVS, wrap_angle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TASKS = sorted(REF_ENVS)
@@ -65,6 +65,18 @@ def test_numpy_primitives_bit_equal_scalar():
     )
     # ``x * x`` is not always ``x**2``: Python's power goes through pow().
     assert _bits(_pow2(x).tolist()) == _bits([v**2 for v in values])
+
+
+def test_wrap_matches_scalar_loop_and_rows_alone():
+    """``_wrap`` gives every element the reference loop's shifts, whatever its neighbours."""
+    x = np.array([
+        [0.5, math.pi, 4.0, 40.0, -math.pi, -4.0, -40.0, 1e3],  # 0, 0, 1, 6, 0, 1, 6, 159
+        [-3.0, 3.5, 25.0, -0.0, -3.5, -25.0, -1e3, 7.0],  # 0, 1, 4, 0, 1, 4, 159, 1
+    ])
+    wrapped = _wrap(x, -math.pi, math.pi)
+    assert _bits(wrapped.ravel().tolist()) == _bits([wrap_angle(v) for v in x.ravel().tolist()])
+    rows = [_wrap(row, -math.pi, math.pi) for row in x]
+    assert _bits(wrapped.ravel().tolist()) == _bits(np.concatenate(rows).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -245,13 +257,15 @@ def test_pass_state_rows_equal_one_row_plans():
     assert len({tuple(got[:, r]) for r in range(len(nets))}) > 2
 
 
-def test_batched_rows_equal_single_runs():
+@pytest.mark.parametrize("task", TASKS)
+def test_batched_rows_equal_single_runs(task):
     """A row's result does not depend on the other rows of its batch."""
-    spec = get_spec("CartPole-v1")
-    nets = _shard("CartPole-v1")
-    seeds = [[r] for r in range(len(nets))]
-    batched = run_episode_batch(nets, spec, None, seeds)
-    alone = [run_episode_batch([net], spec, None, [s])[0] for net, s in zip(nets, seeds)]
+    spec = get_spec(task)
+    nets = _shard(task)
+    seeds = [[r + e for e in range(spec.episodes_per_eval)] for r in range(len(nets))]
+    fresh = lambda: RunningStandardizer(spec.obs_dim)  # used by Pendulum only
+    batched = run_episode_batch(nets, spec, [fresh() for _ in nets], seeds)
+    alone = [run_episode_batch([net], spec, [fresh()], [s])[0] for net, s in zip(nets, seeds)]
     assert _bits(batched) == _bits(alone)
 
 

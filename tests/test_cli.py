@@ -1,12 +1,14 @@
 """End-to-end checks of the command-line harness."""
 
 import dataclasses
+import errno
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -116,29 +118,7 @@ def test_config_non_finite_sigma_is_error_line(tmp_path, key, value):
     assert not (tmp_path / "o").exists()
 
 
-def test_workers_env_not_integer_is_error_line(tmp_path, monkeypatch):
-    monkeypatch.setenv("DYNEVO_WORKERS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["evolve", "--task", "CartPole-v1", "--out", str(tmp_path / "o")])
-    assert str(exc.value).startswith("error:")
-
-
-def test_workers_env_default(monkeypatch):
-    import argparse
-
-    from dynevo.cli import _build_config
-
-    monkeypatch.setenv("DYNEVO_WORKERS", "2")
-    args = argparse.Namespace(
-        task="CartPole-v1", mode=None, pop=None, gens=None, seed=None,
-        workers=None, checkpoint_every=None, config=None, resume=None,
-    )
-    cfg, resume = _build_config(args)
-    assert cfg.workers == 2 and resume is None
-
-
-def test_config_file_workers_zero_is_error_line(tmp_path, monkeypatch):
-    monkeypatch.setenv("DYNEVO_WORKERS", "2")
+def test_config_file_workers_zero_is_error_line(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"task": "CartPole-v1", "workers": 0}))
     with pytest.raises(SystemExit) as exc:
@@ -579,6 +559,59 @@ def test_interrupted_run_and_resume_lose_nothing(tmp_path, monkeypatch):
     assert [a.to_obj() for a in pop_a.agents] == [a.to_obj() for a in pop_b.agents]
     timeless = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)
     assert [timeless(r) for r in recs_a] == [timeless(r) for r in recs_b]
+
+
+class _InlinePool:
+    """A pool that scores each shard in this process, until a worker cannot start."""
+
+    fail_at = 5  # with two shards a generation: generation 2's first shard
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.submits = 0
+
+    def submit(self, fn, payload):
+        self.submits += 1
+        if self.submits == self.fail_at:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        future = Future()
+        future.set_result(fn(payload))
+        return future
+
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture
+def two_shards(monkeypatch):
+    """Two usable cores, and every batch worth two shards."""
+    from dynevo import evolution as ev
+
+    monkeypatch.setattr(ev, "usable_cores", lambda: 2)
+    monkeypatch.setattr(ev, "MIN_SHARD_EDGES", 1)
+    return ev
+
+
+def test_worker_that_cannot_start_is_error_line_naming_last_checkpoint(tmp_path, monkeypatch,
+                                                                        two_shards):
+    monkeypatch.setattr(two_shards, "ProcessPoolExecutor", _InlinePool)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(out, gens=4, extra=["--checkpoint-every", "1", "--workers", "2"]))
+    assert str(exc.value) == ("error: generation 2: cannot start pool workers: "
+                              f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}; "
+                              f"last checkpoint {out / 'ckpt_2.bin'}")
+
+
+def test_worker_pool_that_cannot_start_is_error_line(tmp_path, monkeypatch, two_shards):
+    def no_pool(*args, **kwargs):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(two_shards, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(evolve_args(tmp_path / "run", extra=["--workers", "2"]))
+    assert str(exc.value) == ("error: generation 0: cannot start the worker pool: "
+                              f"[Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}; "
+                              "no checkpoint written")
 
 
 def test_failed_scoring_shard_is_error_line_naming_last_checkpoint(tmp_path, monkeypatch):
