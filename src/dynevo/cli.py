@@ -84,7 +84,7 @@ def _build_config(args):
         path = Path(args.config)
         try:
             file_cfg = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad UTF-8 or JSON, or too many digits
             raise SystemExit(f"error: cannot read config file {path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise SystemExit(f"error: config file {path} must hold a JSON object")

@@ -36,6 +36,13 @@ class Discrete:
     def arity(self) -> int:
         return self.n
 
+    @staticmethod
+    def decode(out):
+        """The action of each output column ``out[:, r]``: the index of its largest
+        output. ``argmax`` picks the first of equal maxima; outputs are ReLU
+        values, never NaN, so it agrees with a strict ``>`` scan."""
+        return out.argmax(axis=0)
+
 
 @dataclass(frozen=True)
 class Continuous:
@@ -47,10 +54,16 @@ class Continuous:
         return len(self.low)
 
     @cached_property
-    def columns(self) -> tuple:
-        """``(low, high - low)`` as ``(arity, 1)`` arrays for decoding rows."""
+    def _columns(self) -> tuple:
+        """``(low, high - low)`` as ``(arity, 1)`` arrays."""
         low = np.array(self.low).reshape(-1, 1)
         return low, np.array(self.high).reshape(-1, 1) - low
+
+    def decode(self, out):
+        """The action of each output column ``out[:, r]``: per dimension, the
+        output clipped to [0, 1], then scaled to [low, high]."""
+        low, span = self._columns
+        return np.minimum(np.maximum(out, 0.0), 1.0) * span + low
 
 
 @dataclass(frozen=True)
@@ -256,10 +269,8 @@ class CartPoleEnv(ClassicControlEnv):
             * (4.0 / 3.0 - cls.MASSPOLE * _pow2(costheta) / cls.TOTAL_MASS)
         )
         xacc = temp - cls.POLEMASS_LENGTH * thetaacc * costheta / cls.TOTAL_MASS
-        x += cls.TAU * x_dot
-        x_dot += cls.TAU * xacc
-        theta += cls.TAU * theta_dot
-        theta_dot += cls.TAU * thetaacc
+        # ``np.array`` copies the old velocities: x and theta move by them.
+        s += cls.TAU * np.array((x_dot, xacc, theta_dot, thetaacc))
         terminated = (np.abs(x) > cls.X_LIMIT) | (np.abs(theta) > cls.THETA_LIMIT)
         return 1.0, terminated
 
@@ -275,6 +286,7 @@ class MountainCarEnv(ClassicControlEnv):
     GOAL_POSITION = 0.5
     GOAL_VELOCITY = 0.0
     FORCE = 0.001
+    FORCES = np.array([-FORCE, 0.0, FORCE])  # by action: push left, none, push right
     GRAVITY = 0.0025
 
     @staticmethod
@@ -285,7 +297,7 @@ class MountainCarEnv(ClassicControlEnv):
     def advance(cls, s, action):
         position, velocity = s
         velocity = velocity + (
-            (action - 1) * cls.FORCE + np.cos(3 * position) * (-cls.GRAVITY)
+            cls.FORCES[action] + np.cos(3 * position) * (-cls.GRAVITY)
         )
         return -1.0, _car_move(cls, s, velocity)
 
@@ -392,13 +404,9 @@ class AcrobotEnv(ClassicControlEnv):
 
     @staticmethod
     def observe(s, out):
-        t1, t2, d1, d2 = s
-        np.cos(t1, out=out[0])
-        np.sin(t1, out=out[1])
-        np.cos(t2, out=out[2])
-        np.sin(t2, out=out[3])
-        out[4] = d1
-        out[5] = d2
+        np.cos(s[:2], out=out[0:4:2])
+        np.sin(s[:2], out=out[1:4:2])
+        out[4:] = s[2:]
 
     @classmethod
     def _dsdt(cls, s, a):
@@ -495,31 +503,14 @@ def make_env(name: str, seed: int = 0) -> ClassicControlEnv:
 
 
 def decode_action(raw_outputs, space):
-    """Map non-negative network outputs onto an action.
-
-    Discrete: index of the largest output, lowest index on ties.
-    Continuous: per dimension, clip to [0, 1] then scale to [low, high].
-    """
+    """Map non-negative network outputs onto an action: the one-row case of
+    ``space.decode``."""
     if len(raw_outputs) != space.arity:
         raise ValueError(
             f"expected {space.arity} outputs, got {len(raw_outputs)}"
         )
-    action = _decode_rows(np.array(raw_outputs, dtype=float).reshape(-1, 1), space)
-    if isinstance(space, Discrete):
-        return int(action[0])
-    return action[:, 0].tolist()
-
-
-def _decode_rows(out, space):
-    """Actions for output columns ``out`` of shape ``(arity, rows)``.
-
-    ``argmax`` picks the first of equal maxima; outputs are ReLU values,
-    never NaN, so it agrees with a strict ``>`` scan.
-    """
-    if isinstance(space, Discrete):
-        return out.argmax(axis=0)
-    low, span = space.columns
-    return np.minimum(np.maximum(out, 0.0), 1.0) * span + low
+    # Column 0 of the decoded rows: an index for a discrete space, a list otherwise.
+    return space.decode(np.array(raw_outputs, dtype=float).reshape(-1, 1))[..., 0].tolist()
 
 
 def run_episode_set(
@@ -585,8 +576,7 @@ def run_episode_batch(nets, spec: EnvSpec, standardizers, episode_seeds) -> list
                     _welford_apply(*moments, obs, inputs)
                 else:
                     env.observe(s, inputs)
-                action = _decode_rows(state.step(), spec.action_space)
-                reward, terminated = env.advance(s, action)
+                reward, terminated = env.advance(s, spec.action_space.decode(state.step()))
                 episode += np.where(done, 0.0, reward)
                 done |= terminated
                 if done.all():

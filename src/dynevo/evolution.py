@@ -499,7 +499,8 @@ def load_checkpoint(data: bytes):
                 for f in fields(RunRecord):
                     exact(rec[f.name], f.type, f"record {i} field {f.name}")
             records = [RunRecord(**r) for r in obj["records"]]
-            if pop.generation < 0 or [r.generation for r in records] != list(range(pop.generation)):
+            if len(records) != pop.generation or (  # counts first: the range may be huge
+                    [r.generation for r in records] != list(range(pop.generation))):
                 raise ValueError(f"records are not generations 0 .. {pop.generation - 1}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointFormatError(f"corrupt checkpoint: {exc}") from exc

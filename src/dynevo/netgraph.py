@@ -86,7 +86,7 @@ def decode_framed(data: bytes, magic: bytes, version: int, error: type, what: st
         raise error(f"unsupported {what} format version {found}")
     try:
         return json.loads(data[len(magic) + 4 :].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too many digits
         raise error(f"corrupt {what} payload: {exc}") from exc
 
 

@@ -5,8 +5,11 @@ forward interpreter below recomputes node values straight from the node
 and weight collections with an explicit two-buffer scheme, and the audit
 recomputes every structural predicate from scratch. A frozen genome keeps
 no nodes, so each oracle reads it through :func:`graph`, an evolving twin
-built from its ``to_obj()``.
+built from its ``to_obj()``. :class:`CountingArray` counts the numpy calls a
+step makes.
 """
+
+import numpy as np
 
 from dynevo.netgraph import DynamicNet, HIDDEN, INPUT, Node
 
@@ -165,3 +168,53 @@ def cleanup_fixpoint_oracle(net: DynamicNet):
             return alive & hidden
         alive -= dead
         edges = {(s, d) for s, d in edges if s in alive and d in alive}
+
+
+class CountingArray(np.ndarray):
+    """An array that counts the numpy calls made on it: each ufunc call or
+    reduction (``__array_ufunc__``), each array-function call such as ``np.where``
+    (``__array_function__``) and each item assignment (``__setitem__``).
+
+    A call counts once when one of its operands or outputs is a counting array,
+    and its array results are counting arrays again. Indexing, ``np.array`` and a
+    call whose operands are all plain arrays, such as one on ``np.array``'s
+    result, are not seen. Read the count with :func:`count_calls`.
+    """
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        CountingArray.calls += 1
+        if out is not None:
+            kwargs["out"] = tuple(map(_plain, out))
+        result = getattr(ufunc, method)(*map(_plain, inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return _counting(result)
+
+    def __array_function__(self, func, types, args, kwargs):
+        CountingArray.calls += 1
+        return _counting(super().__array_function__(func, types, args, kwargs))
+
+    def __setitem__(self, key, value):
+        CountingArray.calls += 1
+        super().__setitem__(key, _plain(value))
+
+
+def _plain(x):
+    return x.view(np.ndarray) if isinstance(x, CountingArray) else x
+
+
+def _counting(x):
+    if type(x) is np.ndarray:
+        return x.view(CountingArray)
+    if type(x) is tuple:
+        return tuple(map(_counting, x))
+    return x
+
+
+def count_calls(fn, *arrays) -> int:
+    """The numpy calls ``fn(*arrays)`` makes, each array passed as a counting view."""
+    CountingArray.calls = 0
+    fn(*(a.view(CountingArray) for a in arrays))
+    return CountingArray.calls

@@ -18,7 +18,15 @@ import numpy as np
 import pytest
 
 from dynevo import PassState, RngStream, build_static, new_minimal
-from dynevo.envs import Discrete, RunningStandardizer, _pow2, _wrap, get_spec, run_episode_batch
+from dynevo.envs import (
+    ENV_CLASSES,
+    Discrete,
+    RunningStandardizer,
+    _pow2,
+    _wrap,
+    get_spec,
+    run_episode_batch,
+)
 from dynevo import evolution
 from dynevo.evolution import (
     EvolutionConfig,
@@ -31,7 +39,7 @@ from dynevo.evolution import (
 )
 from dynevo.rng import PURPOSE_MUTATE, PURPOSE_PERTURB, derive_stream
 
-from oracles import edge_weights, graph, naive_forward
+from oracles import count_calls, edge_weights, graph, naive_forward
 from reference_envs import REF_ENVS, wrap_angle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -77,6 +85,65 @@ def test_wrap_matches_scalar_loop_and_rows_alone():
     assert _bits(wrapped.ravel().tolist()) == _bits([wrap_angle(v) for v in x.ravel().tolist()])
     rows = [_wrap(row, -math.pi, math.pi) for row in x]
     assert _bits(wrapped.ravel().tolist()) == _bits(np.concatenate(rows).tolist())
+
+
+@pytest.fixture(scope="module")
+def exactness_sample():
+    return _exactness_sample()
+
+
+def _observe(task, s):
+    if task == "Pendulum-v1":
+        return [math.cos(s[0]), math.sin(s[0]), s[1]]
+    if task == "Acrobot-v1":
+        return [math.cos(s[0]), math.sin(s[0]), math.cos(s[1]), math.sin(s[1]), s[2], s[3]]
+    return [float(v) for v in s]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64, None])  # None: the whole sample in one batch
+@pytest.mark.parametrize("task", TASKS)
+def test_observe_bit_equal_scalar(task, rows, exactness_sample):
+    """``observe`` writes ``math.cos`` and ``math.sin`` of the angles and copies the
+    rest, bit for bit, into a C-ordered array and into a batch's transposed input
+    view alike: numpy's SIMD ``sin`` and ``cos`` may depend on the layout."""
+    env = ENV_CLASSES[task]
+    dim, obs_dim = env.initial_rows([0]).shape[0], env.spec.obs_dim
+    # Every sample value takes every state component's place.
+    states = np.array([np.roll(exactness_sample, k) for k in range(dim)])
+    expected = _bits([v for s in states.T.tolist() for v in _observe(task, s)])
+    rows = rows or states.shape[1]
+    for layout in ("C", "inputs view"):
+        got = []
+        for start in range(0, states.shape[1], rows):
+            s = states[:, start : start + rows].copy()
+            n = s.shape[1]
+            # PassState.inputs: a transposed view of an (n, obs_dim) C-ordered buffer.
+            out = np.empty((obs_dim, n)) if layout == "C" else np.empty((n, obs_dim)).T
+            env.observe(s, out)
+            got += out.T.ravel().tolist()
+        assert _bits(got) == expected, layout
+
+
+# numpy calls per step at 64 rows, counted by ``oracles.CountingArray``, as
+# ``(observe, advance)``: a step that makes more adds to every lockstep step.
+STEP_CALLS = {
+    "Acrobot-v1": (3, 195),
+    "CartPole-v1": (1, 26),
+    "MountainCar-v0": (1, 19),
+    "MountainCarContinuous-v0": (1, 26),
+    "Pendulum-v1": (3, 25),
+}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_step_numpy_calls_at_most_pinned(task):
+    env = ENV_CLASSES[task]
+    space = env.spec.action_space
+    s = env.initial_rows(range(64))
+    action = space.decode(RngStream(0).uniform(0.0, 2.0, (space.arity, 64)))
+    observe, advance = STEP_CALLS[task]
+    assert count_calls(env.observe, s, np.empty((env.spec.obs_dim, 64))) <= observe
+    assert count_calls(env.advance, s, action) <= advance
 
 
 # ----------------------------------------------------------------------
@@ -158,14 +225,6 @@ def _shard(task):
         _pump(task, d_in, d_out),
         _pump(task, d_in, d_out),
     ]
-
-
-def _observe(task, s):
-    if task == "Pendulum-v1":
-        return [math.cos(s[0]), math.sin(s[0]), s[1]]
-    if task == "Acrobot-v1":
-        return [math.cos(s[0]), math.sin(s[0]), math.cos(s[1]), math.sin(s[1]), s[2], s[3]]
-    return [float(v) for v in s]
 
 
 def _oracle_fitness(net, task, seeds, moments):

@@ -88,7 +88,10 @@ def test_config_file_rejects_unknown_key(tmp_path):
         run_cli(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
-@pytest.mark.parametrize("text", ["{bad", "[1]", None])  # None: no file
+@pytest.mark.parametrize("text", [
+    "{bad", "[1]", None,  # None: no file
+    pytest.param('{"seed": ' + "9" * 5000 + "}", id="5000-digit-seed"),  # past int()'s limit
+])
 def test_config_file_malformed_is_error_line(tmp_path, text):
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
@@ -461,6 +464,52 @@ def test_truncated_checkpoint_is_error_line(tmp_path, resumable, cut, command):
     with pytest.raises(SystemExit) as exc:
         run_cli(_reading_commands(path, tmp_path)[command])
     assert str(exc.value).startswith("error:")
+
+
+def _one_error_line(args):
+    """The message of the ``SystemExit`` that ``args`` end in: printed as one
+    line, with exit status 1 (the status of any string exit)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert exc.value.code.startswith("error:")
+    return exc.value.code
+
+
+@pytest.mark.parametrize("command", ["test", "export-dot", "resume", "export-dot-genome"])
+def test_integer_past_digit_limit_is_error_line(tmp_path, resumable, command):
+    """``json`` refuses an integer literal of over 4300 digits with a plain ``ValueError``."""
+    data = resumable.read_bytes()
+    huge = b"9" * 5000
+    if command == "export-dot-genome":
+        genome = load_checkpoint(data)[0].agents[0].genome.serialize()
+        start = genome.index(b'"next_id":') + len(b'"next_id":')
+        end = genome.index(b",", start)
+        path = tmp_path / "elite.bin"
+        path.write_bytes(genome[:start] + huge + genome[end:])
+        args = ["export-dot", str(path), str(tmp_path / "o.dot")]
+        what = "genome"
+    else:
+        assert data.count(b'},"generation":1,') == 1
+        path = tmp_path / "huge.bin"
+        path.write_bytes(data.replace(b'},"generation":1,', b'},"generation":' + huge + b","))
+        args = _reading_commands(path, tmp_path)[command]
+        what = "checkpoint"
+    message = _one_error_line(args)
+    assert f"corrupt {what} payload: Exceeds the limit (4300 digits)" in message
+    assert not (tmp_path / "r").exists() and not (tmp_path / "o.dot").exists()
+
+
+@pytest.mark.parametrize("command", ["test", "export-dot", "resume"])
+def test_generation_far_past_records_is_error_line(tmp_path, resumable, command):
+    """The record count is checked before the generations' range is listed."""
+    data = resumable.read_bytes()
+    assert data.count(b'},"generation":1,') == 1
+    path = tmp_path / "far.bin"
+    path.write_bytes(data.replace(b'},"generation":1,', b'},"generation":1000000000000,'))
+    message = _one_error_line(_reading_commands(path, tmp_path)[command])
+    assert message.endswith("corrupt checkpoint: records are not generations 0 .. 999999999999")
+    assert not (tmp_path / "r").exists() and not (tmp_path / "o.dot").exists()
 
 
 def test_resume_accepts_equal_run_flags(tmp_path, resumable):
